@@ -19,7 +19,6 @@ void bit_leaf_hash_batch(const std::uint8_t* bits, const Digest20* xs, std::size
   constexpr std::size_t kChunk = 64;
   constexpr std::size_t kMsg = 1 + sizeof(Digest20);
   std::uint8_t buf[kChunk * kMsg];
-  ByteSpan spans[kChunk];
   std::size_t i = 0;
   while (i < n) {
     const std::size_t g = std::min(kChunk, n - i);
@@ -27,9 +26,8 @@ void bit_leaf_hash_batch(const std::uint8_t* bits, const Digest20* xs, std::size
       std::uint8_t* m = buf + k * kMsg;
       m[0] = bits[i + k] ? 1 : 0;
       std::memcpy(m + 1, xs[i + k].data(), xs[i + k].size());
-      spans[k] = ByteSpan{m, kMsg};
     }
-    crypto::digest20_batch(spans, g, out + i);
+    crypto::digest20_batch(buf, kMsg, g, out + i);
     i += g;
   }
 }

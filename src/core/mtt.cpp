@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 
@@ -435,6 +436,60 @@ std::uint64_t Mtt::relabel_inner(std::uint32_t inner_index, const crypto::Commit
   return hashes;
 }
 
+void Mtt::label_inner_ids(const std::uint32_t* ids, std::size_t n,
+                          const crypto::CommitmentPrf& prf, bool multilane,
+                          std::uint64_t& hashes) {
+  if (!multilane) {
+    for (std::size_t i = 0; i < n; ++i) hashes += relabel_inner(ids[i], prf);
+    return;
+  }
+  // Batched: lay out each node's c0 || c1 || cE message, deriving every
+  // dummy child of the chunk with one PRF batch call, then hash the
+  // chunk's 60-byte messages with one fixed-length lane call.  Labels and
+  // hash accounting are identical to relabel_inner (one combining hash
+  // plus one PRF derivation per dummy child).
+  constexpr std::size_t kNodeChunk = 64;
+  constexpr std::size_t kLabel = sizeof(Digest20);
+  constexpr std::size_t kMsg = 3 * kLabel;
+  std::uint8_t msgs[kNodeChunk * kMsg];
+  std::uint64_t dummy_indices[3 * kNodeChunk];
+  std::size_t dummy_offsets[3 * kNodeChunk];
+  Digest20 dummy_labels[3 * kNodeChunk];
+  Digest20 labels[kNodeChunk];
+  for (std::size_t base = 0; base < n; base += kNodeChunk) {
+    const std::size_t c = std::min(kNodeChunk, n - base);
+    std::size_t dummies = 0;
+    for (std::size_t j = 0; j < c; ++j) {
+      const std::uint32_t id = ids[base + j];
+      const Inner& node = inner_[id];
+      for (std::size_t s = 0; s < 3; ++s) {
+        const std::size_t offset = j * kMsg + s * kLabel;
+        switch (node.kind[s]) {
+          case ChildKind::kInner:
+            std::memcpy(msgs + offset, inner_labels_[node.child[s]].data(), kLabel);
+            break;
+          case ChildKind::kPrefix:
+            std::memcpy(msgs + offset, prefix_labels_[node.child[s]].data(), kLabel);
+            break;
+          case ChildKind::kDummy:
+            dummy_indices[dummies] =
+                dummy_prf_index(inner_path_[id], inner_depth_[id], static_cast<int>(s));
+            dummy_offsets[dummies++] = offset;
+            break;
+          case ChildKind::kNone: throw std::logic_error("Mtt: unassigned child slot");
+        }
+      }
+    }
+    prf.dummy_label_batch(dummy_indices, dummies, dummy_labels);
+    for (std::size_t d = 0; d < dummies; ++d) {
+      std::memcpy(msgs + dummy_offsets[d], dummy_labels[d].data(), kLabel);
+    }
+    crypto::digest20_batch(msgs, kMsg, c, labels);
+    for (std::size_t j = 0; j < c; ++j) inner_labels_[ids[base + j]] = labels[j];
+    hashes += c + dummies;
+  }
+}
+
 void Mtt::compute_labels(const crypto::CommitmentPrf& prf, unsigned threads, bool multilane) {
   SPIDER_OBS_SPAN(label_span, "core/mtt_label");
   util::WallTimer label_timer;
@@ -472,7 +527,8 @@ void Mtt::compute_labels(const crypto::CommitmentPrf& prf, unsigned threads, boo
   // children are strictly deeper, so each level depends only on deeper
   // levels; within a level every node is independent, which is what lets
   // this formerly serial pass shard across the pool (and tolerate the
-  // arbitrary index order left behind by free-list recycling).
+  // arbitrary index order left behind by free-list recycling) and hash in
+  // lane-sized chunks (label_inner_ids).
   std::array<std::vector<std::uint32_t>, 33> levels;
   for (std::uint32_t i = 0; i < inner_.size(); ++i) {
     if (inner_alive_[i]) levels[inner_depth_[i]].push_back(i);
@@ -481,7 +537,7 @@ void Mtt::compute_labels(const crypto::CommitmentPrf& prf, unsigned threads, boo
     const std::vector<std::uint32_t>& ids = levels[depth];
     shard_range(pool_ptr, ids.size(), 1024, chunks, [&](std::size_t start, std::size_t end) {
       std::uint64_t hashes = 0;
-      for (std::size_t j = start; j < end; ++j) hashes += relabel_inner(ids[j], prf);
+      label_inner_ids(ids.data() + start, end - start, prf, multilane, hashes);
       hash_count += hashes;
     });
   }
@@ -567,7 +623,7 @@ std::uint64_t Mtt::apply(const std::vector<MttUpdate>& updates, const crypto::Co
     const std::vector<std::uint32_t>& ids = levels[depth];
     shard_range(pool_ptr, ids.size(), 1024, chunks, [&](std::size_t start, std::size_t end) {
       std::uint64_t hashes = 0;
-      for (std::size_t j = start; j < end; ++j) hashes += relabel_inner(ids[j], prf);
+      label_inner_ids(ids.data() + start, end - start, prf, multilane, hashes);
       hash_count += hashes;
     });
   }
@@ -625,18 +681,18 @@ MttPrefixProof Mtt::prove(const crypto::CommitmentPrf& prf, const bgp::Prefix& p
     }
   }
   if (!have_material) {
-    // Derive the x value of each bit node exactly once (batched through
-    // the SHA-512 lanes) and reuse it for both the openings and the bit
-    // labels.
+    // Derive the x value of each bit node exactly once and reuse it for
+    // both the openings and the bit labels; both batches run through the
+    // SHA-512 lanes.
     std::vector<std::uint64_t> prf_indices(num_classes_);
     for (std::uint32_t c = 0; c < num_classes_; ++c) prf_indices[c] = bit_prf_index(prefix, c);
     material.xs.resize(num_classes_);
     prf.bit_randomness_batch(prf_indices.data(), prf_indices.size(), material.xs.data());
 
-    material.bit_labels.reserve(num_classes_);
-    for (std::uint32_t c = 0; c < num_classes_; ++c) {
-      material.bit_labels.push_back(bit_leaf_hash(stored_bit(storage_base + c), material.xs[c]));
-    }
+    std::vector<std::uint8_t> bits(num_classes_);
+    for (std::uint32_t c = 0; c < num_classes_; ++c) bits[c] = stored_bit(storage_base + c) ? 1 : 0;
+    material.bit_labels.resize(num_classes_);
+    bit_leaf_hash_batch(bits.data(), material.xs.data(), num_classes_, material.bit_labels.data());
 
     // Path from the root to the prefix node's parent, recording the two
     // non-path child labels at each level.

@@ -197,12 +197,12 @@ class Mtt {
   /// prefix-label phase and the per-depth inner-label levels across a
   /// thread pool (paper §7.1: "we break the MTT into subtrees that are
   /// each labeled completely by one of the threads").  `multilane` runs
-  /// prefix labeling through the multi-lane SHA-512 batcher
-  /// (crypto/sha2_multi.hpp) — same labels, same hash accounting, several
-  /// digests per compression call; pass false to force the scalar path
-  /// (the differential battery compares the two).  Any previously computed
-  /// labels are invalidated on entry, so a failed run can never serve a
-  /// stale root.
+  /// every labeling hash — prefix and inner phases alike — through the
+  /// multi-lane SHA-512 batcher (crypto/sha2_multi.hpp): same labels, same
+  /// hash accounting, several digests per compression call.  Pass false
+  /// to force the fully scalar path (the differential battery compares
+  /// the two).  Any previously computed labels are invalidated on entry,
+  /// so a failed run can never serve a stale root.
   void compute_labels(const crypto::CommitmentPrf& prf, unsigned threads = 1,
                       bool multilane = true);
 
@@ -274,6 +274,12 @@ class Mtt {
                        const crypto::CommitmentPrf& prf) const;
   /// Relabels one inner node from its children; returns hashes performed.
   std::uint64_t relabel_inner(std::uint32_t inner_index, const crypto::CommitmentPrf& prf);
+  /// Relabels the inner nodes in ids[0, n), which must all sit at one trie
+  /// depth whose deeper levels are already labeled: one relabel_inner per
+  /// node, or via the lane batcher; accumulates the hash count into
+  /// `hashes`.
+  void label_inner_ids(const std::uint32_t* ids, std::size_t n, const crypto::CommitmentPrf& prf,
+                       bool multilane, std::uint64_t& hashes);
   /// Labels the prefix nodes in ids[start, end), scalar or via the lane
   /// batcher; accumulates the hash count into `hashes`.
   void label_prefix_ids(const std::uint32_t* ids, std::size_t n, const crypto::CommitmentPrf& prf,

@@ -36,23 +36,31 @@ Digest20 CommitmentPrf::derive(char domain, std::uint64_t index) const {
 
 void CommitmentPrf::bit_randomness_batch(const std::uint64_t* indices, std::size_t n,
                                          Digest20* out) const {
-  // Same bytes as derive('x', index): seed || domain || big-endian index.
+  derive_batch('x', indices, n, out);
+}
+
+void CommitmentPrf::derive_batch(char domain, const std::uint64_t* indices, std::size_t n,
+                                 Digest20* out) const {
+  // Same bytes as derive(domain, index): seed || domain || big-endian
+  // index.  The seed and domain bytes are laid down once; each message
+  // then only rewrites its 8 index bytes.
   constexpr std::size_t kChunk = 64;
   constexpr std::size_t kMsg = sizeof(seed_.data) + 9;
   std::uint8_t buf[kChunk * kMsg];
-  ByteSpan spans[kChunk];
+  for (std::size_t k = 0; k < std::min(kChunk, n); ++k) {
+    std::uint8_t* m = buf + k * kMsg;
+    std::memcpy(m, seed_.data.data(), seed_.data.size());
+    m[32] = static_cast<std::uint8_t>(domain);
+  }
   std::size_t i = 0;
   while (i < n) {
     const std::size_t g = std::min(kChunk, n - i);
     for (std::size_t k = 0; k < g; ++k) {
       std::uint8_t* m = buf + k * kMsg;
-      std::memcpy(m, seed_.data.data(), seed_.data.size());
-      m[32] = static_cast<std::uint8_t>('x');
       const std::uint64_t index = indices[i + k];
       for (int b = 0; b < 8; ++b) m[33 + b] = static_cast<std::uint8_t>(index >> (56 - 8 * b));
-      spans[k] = ByteSpan{m, kMsg};
     }
-    digest20_batch(spans, g, out + i);
+    digest20_batch(buf, kMsg, g, out + i);
     i += g;
   }
 }

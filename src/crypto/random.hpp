@@ -63,11 +63,20 @@ class CommitmentPrf {
   /// Random label for dummy node `index`.
   Digest20 dummy_label(std::uint64_t index) const { return derive('d', index); }
 
+  /// Batch form: out[i] = dummy_label(indices[i]) for i in [0, n).  The
+  /// MTT's batched inner pass derives every dummy child of a chunk of
+  /// same-depth inner nodes with one call.
+  void dummy_label_batch(const std::uint64_t* indices, std::size_t n, Digest20* out) const {
+    derive_batch('d', indices, n, out);
+  }
+
   const Seed& seed() const { return seed_; }
 
  private:
   // spider-taint: secret
   Digest20 derive(char domain, std::uint64_t index) const;
+  /// out[i] = derive(domain, indices[i]) through the fixed-length lane feed.
+  void derive_batch(char domain, const std::uint64_t* indices, std::size_t n, Digest20* out) const;
 
   Seed seed_;
 };

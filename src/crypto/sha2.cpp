@@ -136,15 +136,17 @@ void Sha256::update(ByteSpan data) {
 }
 
 Sha256::Digest Sha256::finish() {
-  std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad = 0x80;
-  update(ByteSpan{&pad, 1});
-  std::uint8_t zero = 0;
-  while (buffer_len_ != 56) update(ByteSpan{&zero, 1});
-  std::uint8_t len_be[8];
-  store_be64(len_be, bit_len);
-  // Bypass update()'s length accounting for the final length field.
-  std::memcpy(buffer_.data() + 56, len_be, 8);
+  // The buffer always holds fewer than 64 bytes here.  Pad in place:
+  // 0x80, zeros, then the 8-byte bit length, spilling into a second
+  // block when the marker leaves no room for the length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+    compress(buffer_.data());
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  store_be64(buffer_.data() + 56, total_len_ * 8);
   compress(buffer_.data());
   Digest out{};
   for (int i = 0; i < 8; ++i) store_be32(out.data() + 4 * i, state_[i]);
@@ -214,19 +216,22 @@ void Sha512::update(ByteSpan data) {
 }
 
 Sha512::Digest Sha512::finish() {
-  // Counted here rather than in update(): finish() pads via byte-sized
-  // update() calls, which would both inflate the byte count and multiply
-  // the counter traffic in the labeling hot loop.
+  // Counted once per digest rather than per update() call, which keeps
+  // the counter traffic out of the labeling hot loop.
   SPIDER_OBS_COUNT("crypto/sha512_digests", 1);
   SPIDER_OBS_COUNT("crypto/sha512_bytes", total_len_);
-  std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad = 0x80;
-  update(ByteSpan{&pad, 1});
-  std::uint8_t zero = 0;
-  while (buffer_len_ != 112) update(ByteSpan{&zero, 1});
+  // The buffer always holds fewer than 128 bytes here.  Pad in place:
+  // 0x80, zeros, then the 16-byte bit length, spilling into a second
+  // block when the marker leaves no room for the length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 112) {
+    std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+    compress(buffer_.data());
+    buffer_len_ = 0;
+  }
   // 128-bit length: high 8 bytes are zero for any message under 2^61 bytes.
-  std::memset(buffer_.data() + 112, 0, 8);
-  store_be64(buffer_.data() + 120, bit_len);
+  std::memset(buffer_.data() + buffer_len_, 0, 120 - buffer_len_);
+  store_be64(buffer_.data() + 120, total_len_ * 8);
   compress(buffer_.data());
   Digest out{};
   for (int i = 0; i < 8; ++i) store_be64(out.data() + 8 * i, state_[i]);

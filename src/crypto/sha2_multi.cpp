@@ -1,8 +1,8 @@
 #include "crypto/sha2_multi.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
+#include <stdexcept>
 
 #include "crypto/sha2_kernel.hpp"
 #include "obs/metrics.hpp"
@@ -14,6 +14,7 @@ namespace {
 using detail::kMaxLanes;
 
 constexpr std::size_t kBlock = 128;
+static_assert(kSha512OneBlockMax + 17 == kBlock, "one-block bound must leave room for padding");
 
 /// Blocks the padded message occupies: data, then 0x80 + zeros + 16-byte
 /// length, rounded up.
@@ -33,41 +34,78 @@ const Backend& backend() {
   return be;
 }
 
+void store_be64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+}
+
+void init_state(std::uint64_t state[8][kMaxLanes]) {
+  for (std::size_t w = 0; w < 8; ++w) {
+    for (std::size_t l = 0; l < kMaxLanes; ++l) state[w][l] = detail::kSha512Iv[w];
+  }
+}
+
+/// Writes the first out_len (<= 64) big-endian digest bytes of `lane`.
+void store_digest(const std::uint64_t state[8][kMaxLanes], std::size_t lane, std::uint8_t* out,
+                  std::size_t out_len) {
+  for (std::size_t w = 0; 8 * w < out_len; ++w) {
+    std::uint8_t be[8];
+    store_be64(be, state[w][lane]);
+    std::memcpy(out + 8 * w, be, std::min<std::size_t>(8, out_len - 8 * w));
+  }
+}
+
+/// Lane-path totals for one public call.  The scalar class counts inside
+/// finish(); the lane paths never reach it, so each call adds its whole
+/// batch here once instead of once per lane group.
+struct Tally {
+  std::uint64_t digests = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t groups = 0;
+
+  void flush() const {
+    if (groups == 0) return;
+    SPIDER_OBS_COUNT("crypto/sha512_digests", digests);
+    SPIDER_OBS_COUNT("crypto/sha512_bytes", bytes);
+    SPIDER_OBS_COUNT("crypto/sha512_lane_groups", groups);
+  }
+};
+
 /// Per-lane padding tail: the final one or two blocks holding the message
-/// remainder, the 0x80 marker and the big-endian bit length.
+/// remainder, the 0x80 marker and the big-endian bit length.  Left
+/// uninitialized on purpose: build_tail writes every byte of the
+/// tail_blocks that run_group hands to the kernel, and nothing else.
 struct Tail {
-  std::array<std::uint8_t, 2 * kBlock> pad{};
-  std::size_t data_blocks = 0;
-  std::size_t tail_blocks = 0;
+  std::uint8_t pad[2 * kBlock];
+  std::size_t data_blocks;
+  std::size_t tail_blocks;
 };
 
 void build_tail(ByteSpan msg, Tail& t) {
   const std::size_t rem = msg.size() % kBlock;
   t.data_blocks = msg.size() / kBlock;
   t.tail_blocks = padded_blocks(msg.size()) - t.data_blocks;
-  if (rem != 0) std::memcpy(t.pad.data(), msg.data() + t.data_blocks * kBlock, rem);
+  const std::size_t end = t.tail_blocks * kBlock;
+  if (rem != 0) std::memcpy(t.pad, msg.data() + t.data_blocks * kBlock, rem);
   t.pad[rem] = 0x80;
+  std::memset(t.pad + rem + 1, 0, end - 8 - (rem + 1));
   // 128-bit big-endian length; the high 8 bytes stay zero for any message
   // under 2^61 bytes (same assumption as the scalar class).
-  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
-  std::uint8_t* end = t.pad.data() + t.tail_blocks * kBlock;
-  for (int i = 0; i < 8; ++i) end[-1 - i] = static_cast<std::uint8_t>(bits >> (8 * i));
+  store_be64(t.pad + end - 8, static_cast<std::uint64_t>(msg.size()) * 8);
 }
 
 /// Hashes a group of g (2 <= g <= kMaxLanes) messages that all pad to the
-/// same block count; lanes past g re-hash the last message and are
+/// same block count into outs[0, g), each keeping the leading digest bytes
+/// that fit an Out; lanes past g re-hash the last message and are
 /// discarded.
-void run_group(const Backend& be, const ByteSpan* msgs, std::size_t g, Sha512::Digest* outs) {
+template <typename Out>
+void run_group(const Backend& be, const ByteSpan* msgs, std::size_t g, Out* outs, Tally& tally) {
   std::uint64_t state[8][kMaxLanes];
-  for (std::size_t w = 0; w < 8; ++w) {
-    for (std::size_t l = 0; l < kMaxLanes; ++l) state[w][l] = detail::kSha512Iv[w];
-  }
+  init_state(state);
 
   Tail tails[kMaxLanes];
-  std::uint64_t total_bytes = 0;
   for (std::size_t l = 0; l < g; ++l) {
     build_tail(msgs[l], tails[l]);
-    total_bytes += msgs[l].size();
+    tally.bytes += msgs[l].size();
   }
 
   const std::size_t nb = padded_blocks(msgs[0].size());
@@ -77,23 +115,39 @@ void run_group(const Backend& be, const ByteSpan* msgs, std::size_t g, Sha512::D
       const std::size_t src = l < g ? l : g - 1;
       const Tail& t = tails[src];
       blocks[l] = b < t.data_blocks ? msgs[src].data() + b * kBlock
-                                    : t.pad.data() + (b - t.data_blocks) * kBlock;
+                                    : t.pad + (b - t.data_blocks) * kBlock;
     }
     be.compress(state, blocks);
   }
 
-  for (std::size_t l = 0; l < g; ++l) {
-    for (std::size_t w = 0; w < 8; ++w) {
-      for (std::size_t i = 0; i < 8; ++i) {
-        outs[l][8 * w + i] = static_cast<std::uint8_t>(state[w][l] >> (56 - 8 * i));
-      }
+  for (std::size_t l = 0; l < g; ++l) store_digest(state, l, outs[l].data(), outs[l].size());
+  tally.digests += g;
+  tally.groups += 1;
+}
+
+/// The general batcher behind sha512_batch and the span form of
+/// digest20_batch: outs[i] receives the leading digest bytes of msgs[i]
+/// that fit an Out (a full Sha512::Digest or a Digest20).
+template <typename Out>
+void batch_spans(const ByteSpan* msgs, std::size_t n, Out* outs) {
+  const Backend& be = backend();
+  Tally tally;
+  std::size_t i = 0;
+  while (i < n) {
+    // Greedily extend a run of messages with the same padded block count.
+    const std::size_t nb = padded_blocks(msgs[i].size());
+    std::size_t j = i + 1;
+    while (j < n && j - i < be.lanes && padded_blocks(msgs[j].size()) == nb) ++j;
+    const std::size_t g = j - i;
+    if (g >= 2) {
+      run_group(be, msgs + i, g, outs + i, tally);
+    } else {
+      const Sha512::Digest full = Sha512::hash(msgs[i]);
+      std::memcpy(outs[i].data(), full.data(), outs[i].size());
     }
+    i = j;
   }
-  // The scalar class counts inside finish(); the lane path never reaches
-  // it, so account for the whole group here.
-  SPIDER_OBS_COUNT("crypto/sha512_digests", g);
-  SPIDER_OBS_COUNT("crypto/sha512_bytes", total_bytes);
-  SPIDER_OBS_COUNT("crypto/sha512_lane_groups", 1);
+  tally.flush();
 }
 
 }  // namespace
@@ -101,39 +155,55 @@ void run_group(const Backend& be, const ByteSpan* msgs, std::size_t g, Sha512::D
 std::size_t sha512_lanes() { return backend().lanes; }
 
 void sha512_batch(const ByteSpan* msgs, std::size_t n, Sha512::Digest* outs) {
-  const Backend& be = backend();
-  std::size_t i = 0;
-  while (i < n) {
-    if (be.lanes == 1) {
-      outs[i] = Sha512::hash(msgs[i]);
-      ++i;
-      continue;
-    }
-    // Greedily extend a run of messages with the same padded block count.
-    const std::size_t nb = padded_blocks(msgs[i].size());
-    std::size_t j = i + 1;
-    while (j < n && j - i < be.lanes && padded_blocks(msgs[j].size()) == nb) ++j;
-    const std::size_t g = j - i;
-    if (g >= 2) {
-      run_group(be, msgs + i, g, outs + i);
-    } else {
-      outs[i] = Sha512::hash(msgs[i]);
-    }
-    i = j;
-  }
+  batch_spans(msgs, n, outs);
 }
 
 void digest20_batch(const ByteSpan* msgs, std::size_t n, Digest20* outs) {
-  std::array<Sha512::Digest, 64> full;
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t g = std::min(full.size(), n - i);
-    sha512_batch(msgs + i, g, full.data());
-    for (std::size_t k = 0; k < g; ++k) {
-      std::memcpy(outs[i + k].data(), full[k].data(), outs[i + k].size());
-    }
-    i += g;
+  batch_spans(msgs, n, outs);
+}
+
+void digest20_batch(const std::uint8_t* msgs, std::size_t len, std::size_t n, Digest20* outs) {
+  if (len > kSha512OneBlockMax) {
+    throw std::invalid_argument("digest20_batch: fixed-length messages must fit one block");
   }
+  if (n == 0) return;
+  const Backend& be = backend();
+  if (be.lanes == 1) {
+    for (std::size_t i = 0; i < n; ++i) outs[i] = digest20(ByteSpan{msgs + i * len, len});
+    return;
+  }
+
+  // Every message has the same length, so everything past its bytes — the
+  // 0x80 marker, the zeros and the bit length — is the same in every
+  // lane: pad one template block per lane once, then each group only
+  // overwrites the first len bytes.  Lanes past a short final group keep
+  // stale messages whose digests are discarded.
+  std::uint8_t blocks[kMaxLanes][kBlock];
+  const std::uint8_t* lane_blocks[kMaxLanes];
+  for (std::size_t l = 0; l < kMaxLanes; ++l) {
+    std::memset(blocks[l], 0, kBlock);
+    blocks[l][len] = 0x80;
+    store_be64(blocks[l] + kBlock - 8, static_cast<std::uint64_t>(len) * 8);
+    lane_blocks[l] = blocks[l];
+  }
+
+  std::uint64_t state[8][kMaxLanes];
+  Tally tally;
+  for (std::size_t i = 0; i < n; i += be.lanes) {
+    const std::size_t g = std::min(be.lanes, n - i);
+    if (len != 0) {
+      for (std::size_t l = 0; l < g; ++l) std::memcpy(blocks[l], msgs + (i + l) * len, len);
+    }
+    init_state(state);
+    be.compress(state, lane_blocks);
+    for (std::size_t l = 0; l < g; ++l) {
+      store_digest(state, l, outs[i + l].data(), outs[i + l].size());
+    }
+    tally.groups += 1;
+  }
+  tally.digests = n;
+  tally.bytes = static_cast<std::uint64_t>(n) * len;
+  tally.flush();
 }
 
 }  // namespace spider::crypto

@@ -11,6 +11,9 @@
 // tests up via `ctest -R Tsan`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "crypto/rsa.hpp"
 #include "crypto/sha2.hpp"
 #include "crypto/sha2_multi.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace sc = spider::crypto;
@@ -405,6 +409,97 @@ TEST(CryptoDiffSha512, EmptyAndSingletonBatches) {
   EXPECT_EQ(out, sc::Sha512::hash(span));
 }
 
+TEST(CryptoDiffSha512, FixedLengthLanePathMatchesScalar) {
+  // Every one-block length, at batch sizes around the lane width and the
+  // per-call group count, so full groups, short final groups and a lone
+  // message all run.
+  SplitMix64 rng(4242);
+  for (std::size_t len = 0; len <= sc::kSha512OneBlockMax; ++len) {
+    for (std::size_t n : {0u, 1u, 7u, 8u, 9u, 63u, 64u, 65u}) {
+      Bytes packed(std::max<std::size_t>(1, n * len), 0);
+      for (auto& byte : packed) byte = static_cast<std::uint8_t>(rng.next());
+      std::vector<Digest20> outs(n + 1);
+      const Digest20 canary = sc::digest20(ByteSpan{packed.data(), 1});
+      outs[n] = canary;
+      sc::digest20_batch(packed.data(), len, n, outs.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(outs[i], sc::digest20(ByteSpan{packed.data() + i * len, len}))
+            << "len=" << len << " n=" << n << " i=" << i;
+      }
+      EXPECT_EQ(outs[n], canary) << "wrote past the batch, len=" << len << " n=" << n;
+    }
+  }
+}
+
+TEST(CryptoDiffSha512, FixedLengthLanePathRejectsMultiBlockLengths) {
+  Bytes packed(2 * (sc::kSha512OneBlockMax + 1), 0);
+  Digest20 outs[2];
+  EXPECT_THROW(sc::digest20_batch(packed.data(), sc::kSha512OneBlockMax + 1, 2, outs),
+               std::invalid_argument);
+}
+
+TEST(CryptoDiffSha512, StreamingSplitAtEveryOffsetMatchesOneShot) {
+  // Two-part streaming at every split point, across the one/two/three
+  // block padding boundaries of both hashes.  SHA-512 is also checked
+  // against the lane batcher, whose padding code is independent.
+  SplitMix64 rng(1701);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    Bytes m(len, 0);
+    for (auto& byte : m) byte = static_cast<std::uint8_t>(rng.next());
+    const ByteSpan whole{m.data(), m.size()};
+    const sc::Sha512::Digest one_shot512 = sc::Sha512::hash(whole);
+    const sc::Sha256::Digest one_shot256 = sc::Sha256::hash(whole);
+    const ByteSpan pair[2] = {whole, whole};
+    sc::Sha512::Digest lanes[2];
+    sc::sha512_batch(pair, 2, lanes);
+    ASSERT_EQ(lanes[0], one_shot512) << "len=" << len;
+    for (std::size_t split = 0; split <= len; ++split) {
+      const ByteSpan head{m.data(), split};
+      const ByteSpan tail{m.data() + split, len - split};
+      sc::Sha512 h512;
+      h512.update(head);
+      h512.update(tail);
+      ASSERT_EQ(h512.finish(), one_shot512) << "len=" << len << " split=" << split;
+      sc::Sha256 h256;
+      h256.update(head);
+      h256.update(tail);
+      ASSERT_EQ(h256.finish(), one_shot256) << "len=" << len << " split=" << split;
+    }
+  }
+}
+
+#if !defined(SPIDER_OBS_DISABLED)
+TEST(CryptoDiffSha512, LanePathsCountLikeScalar) {
+  // The lane paths count once per call; the totals must equal what the
+  // scalar class reports digest by digest.
+  auto counters = [] {
+    auto snap = spider::obs::MetricsRegistry::instance().snapshot();
+    auto get = [&](const char* name) -> std::uint64_t {
+      auto it = snap.counters.find(name);
+      return it == snap.counters.end() ? 0 : it->second;
+    };
+    return std::pair{get("crypto/sha512_digests"), get("crypto/sha512_bytes")};
+  };
+  std::vector<Bytes> msgs;
+  for (std::size_t i = 0; i < 37; ++i) msgs.emplace_back(i * 9, static_cast<std::uint8_t>(i));
+  std::vector<ByteSpan> spans;
+  for (const auto& m : msgs) spans.push_back(ByteSpan{m.data(), m.size()});
+  Bytes packed(41 * 19, 7);
+
+  auto before = counters();
+  for (const auto& span : spans) (void)sc::digest20(span);
+  for (std::size_t i = 0; i < 19; ++i) (void)sc::digest20(ByteSpan{packed.data() + 41 * i, 41});
+  auto scalar = counters();
+  std::vector<Digest20> outs(spans.size());
+  sc::digest20_batch(spans.data(), spans.size(), outs.data());
+  sc::digest20_batch(packed.data(), 41, 19, outs.data());
+  auto lanes = counters();
+
+  EXPECT_EQ(scalar.first - before.first, lanes.first - scalar.first);
+  EXPECT_EQ(scalar.second - before.second, lanes.second - scalar.second);
+}
+#endif
+
 // ------------------------------------------------- batched label paths
 
 TEST(CryptoDiffLabels, PrfBatchMatchesScalar) {
@@ -414,6 +509,19 @@ TEST(CryptoDiffLabels, PrfBatchMatchesScalar) {
   prf.bit_randomness_batch(indices.data(), indices.size(), outs.data());
   for (std::size_t i = 0; i < indices.size(); ++i) {
     EXPECT_EQ(outs[i], prf.bit_randomness(indices[i])) << indices[i];
+  }
+}
+
+TEST(CryptoDiffLabels, DummyPrfBatchMatchesScalar) {
+  sc::CommitmentPrf prf(sc::seed_from_string("diff-dummy"));
+  SplitMix64 rng(99);
+  std::vector<std::uint64_t> indices = {0, 1, 2, 63, 64, 1000000, ~std::uint64_t{0}};
+  for (int i = 0; i < 140; ++i) indices.push_back(rng.next());
+  std::vector<Digest20> outs(indices.size());
+  prf.dummy_label_batch(indices.data(), indices.size(), outs.data());
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    EXPECT_EQ(outs[i], prf.dummy_label(indices[i])) << indices[i];
+    EXPECT_NE(outs[i], prf.bit_randomness(indices[i])) << "domains must stay separate";
   }
 }
 
@@ -431,13 +539,16 @@ TEST(CryptoDiffLabels, LeafHashBatchMatchesScalar) {
   }
 }
 
-TEST(CryptoDiffLabels, MttMultilaneLabelingMatchesScalar) {
-  SplitMix64 rng(77);
-  std::vector<std::pair<sb::Prefix, std::vector<bool>>> entries;
-  const std::uint32_t k = 13;
-  for (int i = 0; i < 85; ++i) {
+namespace {
+
+using MttEntries = std::vector<std::pair<sb::Prefix, std::vector<bool>>>;
+
+MttEntries random_entries(SplitMix64& rng, int count, std::uint32_t k, std::uint8_t min_len,
+                          std::uint8_t max_len) {
+  MttEntries entries;
+  for (int i = 0; i < count; ++i) {
     std::uint32_t addr = static_cast<std::uint32_t>(rng.next());
-    std::uint8_t len = static_cast<std::uint8_t>(8 + rng.below(17));
+    std::uint8_t len = static_cast<std::uint8_t>(min_len + rng.below(max_len - min_len + 1u));
     sb::Prefix p{addr, len};
     bool dup = false;
     for (const auto& e : entries) dup = dup || e.first == p;
@@ -446,15 +557,59 @@ TEST(CryptoDiffLabels, MttMultilaneLabelingMatchesScalar) {
     for (std::uint32_t c = 0; c < k; ++c) bits[c] = rng.below(2) == 1;
     entries.emplace_back(p, bits);
   }
-  sc::CommitmentPrf prf(sc::seed_from_string("diff-mtt"));
+  return entries;
+}
 
+/// Labels `entries` with the lane batcher and with the fully scalar path,
+/// then applies one mixed insert/remove/rewrite round to both, checking
+/// that roots, hash counts and proofs agree at every step.
+void expect_lane_labeling_matches_scalar(const MttEntries& entries, std::uint32_t k,
+                                         SplitMix64& rng) {
+  sc::CommitmentPrf prf(sc::seed_from_string("diff-mtt"));
   auto lane_tree = core::Mtt::build(entries, k);
   lane_tree.compute_labels(prf, /*threads=*/1, /*multilane=*/true);
   auto scalar_tree = core::Mtt::build(entries, k);
   scalar_tree.compute_labels(prf, /*threads=*/1, /*multilane=*/false);
+  ASSERT_EQ(lane_tree.root_label(), scalar_tree.root_label());
+  ASSERT_EQ(lane_tree.last_label_hashes(), scalar_tree.last_label_hashes());
 
-  EXPECT_EQ(lane_tree.root_label(), scalar_tree.root_label());
+  std::vector<core::MttUpdate> updates;
+  for (std::size_t i = 0; i < entries.size(); i += 3) {
+    if (i % 2 == 0) {
+      updates.push_back({entries[i].first, std::nullopt});
+    } else {
+      std::vector<bool> bits = entries[i].second;
+      bits[0] = !bits[0];
+      updates.push_back({entries[i].first, bits});
+    }
+  }
+  for (const auto& [prefix, bits] : random_entries(rng, 20, k, 16, 24)) {
+    updates.push_back({prefix, bits});
+  }
+  lane_tree.apply(updates, prf, /*threads=*/1, /*multilane=*/true);
+  scalar_tree.apply(updates, prf, /*threads=*/1, /*multilane=*/false);
+  ASSERT_EQ(lane_tree.root_label(), scalar_tree.root_label());
   EXPECT_EQ(lane_tree.last_label_hashes(), scalar_tree.last_label_hashes());
+
+  for (std::size_t i = 1; i < entries.size(); i += 7) {
+    if (!lane_tree.bit(entries[i].first, 0)) continue;
+    const std::vector<core::ClassId> classes = {0, k - 1};
+    EXPECT_EQ(lane_tree.prove(prf, entries[i].first, classes).encode(),
+              scalar_tree.prove(prf, entries[i].first, classes).encode());
+  }
+}
+
+}  // namespace
+
+TEST(CryptoDiffLabels, MttMultilaneLabelingMatchesScalar) {
+  SplitMix64 rng(77);
+  const std::uint32_t k = 13;
+  // Mixed lengths: a moderately dense trie.
+  expect_lane_labeling_matches_scalar(random_entries(rng, 85, k, 8, 24), k, rng);
+  // Sparse /24s: long single-child spines, so nearly every inner node has
+  // two dummy children and the dummy PRF batch carries most of the pass;
+  // 150 prefixes put more than one lane chunk at each deep level.
+  expect_lane_labeling_matches_scalar(random_entries(rng, 150, k, 24, 24), k, rng);
 }
 
 // -------------------------------------------------------- concurrency

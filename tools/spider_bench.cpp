@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <functional>
@@ -908,18 +909,23 @@ json::Object run_verify(const benchutil::BenchScale& scale) {
   // Both runs check one proof per (prefix, neighbor role), so per-proof
   // normalization equals per-verified-prefix normalization.
   const double seq_per_prefix =
-      seq.proofs_checked != 0 ? static_cast<double>(seq.digest_ops) / seq.proofs_checked : 0;
+      seq.proofs_checked != 0
+          ? static_cast<double>(seq.digest_ops) / static_cast<double>(seq.proofs_checked)
+          : 0;
   const double pip_per_prefix =
-      pip.proofs_checked != 0 ? static_cast<double>(pip.digest_ops) / pip.proofs_checked : 0;
+      pip.proofs_checked != 0
+          ? static_cast<double>(pip.digest_ops) / static_cast<double>(pip.proofs_checked)
+          : 0;
   const double digest_ratio = pip_per_prefix != 0 ? seq_per_prefix / pip_per_prefix : 0;
   const double wall_ratio =
       pip.session_seconds != 0 ? seq.session_seconds / pip.session_seconds : 0;
   const double hit_ratio =
       pip.cache_hits + pip.cache_misses != 0
-          ? static_cast<double>(pip.cache_hits) / (pip.cache_hits + pip.cache_misses)
+          ? static_cast<double>(pip.cache_hits) /
+                static_cast<double>(pip.cache_hits + pip.cache_misses)
           : 0;
   const double wall_per_prefix =
-      pip.proofs_checked != 0 ? pip.session_seconds / pip.proofs_checked : 0;
+      pip.proofs_checked != 0 ? pip.session_seconds / static_cast<double>(pip.proofs_checked) : 0;
 
   json::Object out;
   json::Object cfg = scale_config(scale);
@@ -1049,6 +1055,14 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown scenario: %s (try --list)\n", name.c_str());
       return 2;
     }
+  }
+
+  std::error_code mkdir_error;
+  std::filesystem::create_directories(out_dir, mkdir_error);
+  if (mkdir_error) {
+    std::fprintf(stderr, "cannot create %s: %s\n", out_dir.c_str(),
+                 mkdir_error.message().c_str());
+    return 1;
   }
 
   auto scale = benchutil::bench_scale();
