@@ -99,62 +99,16 @@ BigInt BigInt::operator-(const BigInt& o) const {
   return out;
 }
 
-namespace {
-
-// Karatsuba kicks in above this limb count (32 limbs = 2048 bits): below
-// it the flat 128-bit schoolbook loop's constant factor wins.
-constexpr std::size_t kKaratsubaThreshold = 32;
-
-}  // namespace
-
 BigInt BigInt::operator*(const BigInt& o) const {
   if (is_zero() || o.is_zero()) return BigInt{};
-  const std::size_t n = std::min(limbs_.size(), o.limbs_.size());
-
   BigInt out;
-  if (n < kKaratsubaThreshold) {
-    out.limbs_.assign(limbs_.size() + o.limbs_.size(), 0);
-    if (this == &o) {
-      lk::sqr(limbs_.data(), limbs_.size(), out.limbs_.data());
-    } else {
-      lk::mul(limbs_.data(), limbs_.size(), o.limbs_.data(), o.limbs_.size(), out.limbs_.data());
-    }
-    out.trim();
-    return out;
+  out.limbs_.assign(limbs_.size() + o.limbs_.size(), 0);
+  if (this == &o) {
+    lk::sqr(limbs_.data(), limbs_.size(), out.limbs_.data());
+  } else {
+    lk::mul(limbs_.data(), limbs_.size(), o.limbs_.data(), o.limbs_.size(), out.limbs_.data());
   }
-
-  // Karatsuba: split both operands at half the smaller length.
-  //   a = a1*B^h + a0, b = b1*B^h + b0
-  //   a*b = z2*B^2h + z1*B^h + z0, with
-  //   z0 = a0*b0, z2 = a1*b1, z1 = (a0+a1)(b0+b1) - z0 - z2.
-  const std::size_t h = n / 2;
-  auto split = [h](const BigInt& v) {
-    BigInt lo, hi;
-    lo.limbs_.assign(v.limbs_.begin(),
-                     v.limbs_.begin() + static_cast<std::ptrdiff_t>(std::min(h, v.limbs_.size())));
-    if (v.limbs_.size() > h) {
-      hi.limbs_.assign(v.limbs_.begin() + static_cast<std::ptrdiff_t>(h), v.limbs_.end());
-    }
-    lo.trim();
-    hi.trim();
-    return std::pair{lo, hi};
-  };
-  auto [a0, a1] = split(*this);
-  auto [b0, b1] = split(o);
-
-  BigInt z0 = a0 * b0;
-  BigInt z2 = a1 * b1;
-  BigInt z1 = (a0 + a1) * (b0 + b1) - z0 - z2;
-
-  out = shift_limbs(z2, 2 * h) + shift_limbs(z1, h) + z0;
-  return out;
-}
-
-BigInt BigInt::shift_limbs(const BigInt& v, std::size_t limbs) {
-  if (v.is_zero() || limbs == 0) return v;
-  BigInt out;
-  out.limbs_.assign(limbs, 0);
-  out.limbs_.insert(out.limbs_.end(), v.limbs_.begin(), v.limbs_.end());
+  out.trim();
   return out;
 }
 

@@ -95,7 +95,6 @@ class BigInt {
 
  private:
   void trim();
-  static BigInt shift_limbs(const BigInt& v, std::size_t limbs);
 
   std::vector<limb_t> limbs_;  // little-endian, no trailing zeros
 };

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "crypto/mont_kernel.hpp"
+
 namespace spider::crypto {
 
 namespace {
@@ -67,6 +69,125 @@ void mont_mul_fixed(const limb_t* a, const limb_t* b, const limb_t* n, limb_t n0
 
 }  // namespace
 
+namespace detail {
+
+limb_t mont_n0(limb_t n_low) {
+  // Newton iteration doubles the correct low bits of the inverse each
+  // step: seeding with n (3 bits correct mod 8 for odd n) reaches 64 bits
+  // in five steps; a sixth is free insurance.
+  limb_t inv = n_low;
+  for (int i = 0; i < 6; ++i) inv *= 2 - n_low * inv;
+  return limb_t{0} - inv;
+}
+
+void mont_mul8_portable(const limb_t* a, const limb_t* b, const limb_t* n, limb_t n0,
+                        limb_t* out) {
+  mont_mul_fixed<8>(a, b, n, n0, out);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+
+bool mont_mul8_adx_supported() {
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("bmi2") && __builtin_cpu_supports("adx");
+  }();
+  return supported;
+}
+
+// Operand block behind the single pointer %[p] (byte offsets): a at 0,
+// b at 64, n at 128, n0 at 192.
+//
+// One column of a row: mulx puts x*rdx in (hi, lo); lo joins the CF chain
+// (adcx) at word J, hi the OF chain (adox) at word J+1, so the two carry
+// chains run interleaved without ever waiting on each other.
+//
+// The asm below is laid out one instruction per line, by hand.
+// clang-format off
+#define SPIDER_MONT_MAC(OFF, TJ, TJ1)          \
+  "mulx " #OFF "(%[p]), %[lo], %[hi]\n\t"     \
+  "adcx %[lo], %[" #TJ "]\n\t"                \
+  "adox %[hi], %[" #TJ1 "]\n\t"
+
+// The reduction half of a CIOS row over the accumulator words T0..T9:
+// T += m*n with m = T0*n0, which clears T0.  The cleared T0 is the zero
+// operand of the final carry folds, and becomes the next row's zero T9:
+// the rows rotate the roles by one word instead of moving data.
+#define SPIDER_MONT_REDC(T0, T1, T2, T3, T4, T5, T6, T7, T8, T9)                         \
+  "movq %[" #T0 "], %%rdx\n\t"                                                         \
+  "imulq 192(%[p]), %%rdx\n\t"                                                         \
+  "xorl %k[lo], %k[lo]\n\t" /* clears CF and OF */                                     \
+  SPIDER_MONT_MAC(128, T0, T1) SPIDER_MONT_MAC(136, T1, T2)                             \
+  SPIDER_MONT_MAC(144, T2, T3) SPIDER_MONT_MAC(152, T3, T4)                             \
+  SPIDER_MONT_MAC(160, T4, T5) SPIDER_MONT_MAC(168, T5, T6)                             \
+  SPIDER_MONT_MAC(176, T6, T7) SPIDER_MONT_MAC(184, T7, T8)                             \
+  "adcx %[" #T0 "], %[" #T8 "]\n\t"                                                    \
+  "adox %[" #T0 "], %[" #T9 "]\n\t"                                                    \
+  "adcx %[" #T0 "], %[" #T9 "]\n\t"
+
+// One full CIOS row (T9 enters as zero): T += a_i*b, then the reduction.
+// t < 2N and a_i*b < 2^576 put the sum below 2^577, so ten words always
+// hold it and nothing carries out of T9.
+#define SPIDER_MONT_ROW(AOFF, T0, T1, T2, T3, T4, T5, T6, T7, T8, T9)                    \
+  "movq " #AOFF "(%[p]), %%rdx\n\t"                                                    \
+  "xorl %k[lo], %k[lo]\n\t"                                                            \
+  SPIDER_MONT_MAC(64, T0, T1) SPIDER_MONT_MAC(72, T1, T2) SPIDER_MONT_MAC(80, T2, T3)   \
+  SPIDER_MONT_MAC(88, T3, T4) SPIDER_MONT_MAC(96, T4, T5) SPIDER_MONT_MAC(104, T5, T6)  \
+  SPIDER_MONT_MAC(112, T6, T7) SPIDER_MONT_MAC(120, T7, T8)                             \
+  "adcx %[" #T9 "], %[" #T8 "]\n\t"                                                    \
+  "adox %[" #T9 "], %[" #T9 "]\n\t"                                                    \
+  "adcq $0, %[" #T9 "]\n\t"                                                            \
+  SPIDER_MONT_REDC(T0, T1, T2, T3, T4, T5, T6, T7, T8, T9)
+
+void mont_mul8_adx(const limb_t* a, const limb_t* b, const limb_t* n, limb_t n0, limb_t* out) {
+  // Everything the asm reads sits behind one pointer: ten accumulator
+  // words, the two mulx outputs and the pointer make 13 operand registers
+  // plus rdx, which still fits when the frame pointer is reserved (-O0,
+  // sanitizer builds).
+  limb_t blk[25];
+  std::copy(a, a + 8, blk);
+  std::copy(b, b + 8, blk + 8);
+  std::copy(n, n + 8, blk + 16);
+  blk[24] = n0;
+  limb_t r0 = 0, r1 = 0, r2 = 0, r3 = 0, r4 = 0, r5 = 0, r6 = 0, r7 = 0, r8 = 0, r9 = 0;
+  limb_t lo = 0, hi = 0;
+  asm(SPIDER_MONT_ROW(0, r0, r1, r2, r3, r4, r5, r6, r7, r8, r9)
+      SPIDER_MONT_ROW(8, r1, r2, r3, r4, r5, r6, r7, r8, r9, r0)
+      SPIDER_MONT_ROW(16, r2, r3, r4, r5, r6, r7, r8, r9, r0, r1)
+      SPIDER_MONT_ROW(24, r3, r4, r5, r6, r7, r8, r9, r0, r1, r2)
+      SPIDER_MONT_ROW(32, r4, r5, r6, r7, r8, r9, r0, r1, r2, r3)
+      SPIDER_MONT_ROW(40, r5, r6, r7, r8, r9, r0, r1, r2, r3, r4)
+      SPIDER_MONT_ROW(48, r6, r7, r8, r9, r0, r1, r2, r3, r4, r5)
+      SPIDER_MONT_ROW(56, r7, r8, r9, r0, r1, r2, r3, r4, r5, r6)
+      // r0..r9 enter as zero, the starting accumulator.
+      : [r0] "+r"(r0), [r1] "+r"(r1), [r2] "+r"(r2), [r3] "+r"(r3), [r4] "+r"(r4),
+        [r5] "+r"(r5), [r6] "+r"(r6), [r7] "+r"(r7), [r8] "+r"(r8), [r9] "+r"(r9),
+        [lo] "=&r"(lo), [hi] "=&r"(hi)
+      : [p] "r"(blk)
+      : "rdx", "cc", "memory");
+  // After eight rotations the result's words 0..7 sit in r8, r9, r0..r5
+  // and its top bit in r6 (r7, the last cleared T0, is zero).
+  const limb_t t[8] = {r8, r9, r0, r1, r2, r3, r4, r5};
+  reduce_once(t, r6, n, 8, out);
+}
+
+#undef SPIDER_MONT_ROW
+#undef SPIDER_MONT_REDC
+#undef SPIDER_MONT_MAC
+// clang-format on
+
+#else
+
+bool mont_mul8_adx_supported() { return false; }
+
+void mont_mul8_adx(const limb_t* a, const limb_t* b, const limb_t* n, limb_t n0, limb_t* out) {
+  mont_mul_fixed<8>(a, b, n, n0, out);
+}
+
+#endif
+
+}  // namespace detail
+
 MontCtx::MontCtx(const BigInt& modulus) : modulus_(modulus), n_(modulus.limbs()) {
   // Misuse guard, not a data leak: RSA moduli are odd primes (or products
   // of them) by construction, so oddness and the >= 3 bound are public
@@ -75,12 +196,7 @@ MontCtx::MontCtx(const BigInt& modulus) : modulus_(modulus), n_(modulus.limbs())
   if (!modulus.is_odd() || modulus < BigInt{3}) {
     throw std::domain_error("MontCtx: modulus must be odd and >= 3");
   }
-  // Newton iteration doubles the correct low bits of the inverse each
-  // step: seeding with n (3 bits correct mod 8 for odd n) reaches 64 bits
-  // in five steps; a sixth is free insurance.
-  limb_t inv = n_[0];
-  for (int i = 0; i < 6; ++i) inv *= 2 - n_[0] * inv;
-  n0_ = limb_t{0} - inv;
+  n0_ = detail::mont_n0(n_[0]);
 
   const std::size_t s = n_.size();
   rr_ = padded((BigInt{1} << (2 * kLimbBits * s)) % modulus, s);
@@ -92,7 +208,11 @@ void MontCtx::mont_mul(const limb_t* a, const limb_t* b, limb_t* out, limb_t* sc
   switch (s) {
     case 4: return mont_mul_fixed<4>(a, b, n_.data(), n0_, out);
     case 6: return mont_mul_fixed<6>(a, b, n_.data(), n0_, out);
-    case 8: return mont_mul_fixed<8>(a, b, n_.data(), n0_, out);
+    case 8:
+      if (detail::mont_mul8_adx_supported()) {
+        return detail::mont_mul8_adx(a, b, n_.data(), n0_, out);
+      }
+      return mont_mul_fixed<8>(a, b, n_.data(), n0_, out);
     case 12: return mont_mul_fixed<12>(a, b, n_.data(), n0_, out);
     case 16: return mont_mul_fixed<16>(a, b, n_.data(), n0_, out);
     default: break;
@@ -134,7 +254,11 @@ void MontCtx::mont_sqr(const limb_t* a, limb_t* out, limb_t* scratch) const {
     // sqr-then-reduce two-pass below even though it does more multiplies.
     case 4: return mont_mul_fixed<4>(a, a, n_.data(), n0_, out);
     case 6: return mont_mul_fixed<6>(a, a, n_.data(), n0_, out);
-    case 8: return mont_mul_fixed<8>(a, a, n_.data(), n0_, out);
+    case 8:
+      if (detail::mont_mul8_adx_supported()) {
+        return detail::mont_mul8_adx(a, a, n_.data(), n0_, out);
+      }
+      return mont_mul_fixed<8>(a, a, n_.data(), n0_, out);
     case 12: return mont_mul_fixed<12>(a, a, n_.data(), n0_, out);
     case 16: return mont_mul_fixed<16>(a, a, n_.data(), n0_, out);
     default: break;

@@ -35,12 +35,16 @@ class MontCtx {
   /// a[i]*b partial product with its Montgomery reduction, one pass over
   /// the accumulator).  a and b must be in [0, N) — the single-carry-limb
   /// bound t < 2N relies on it.  a, b, out are width() limbs; scratch is
-  /// scratch_size() limbs.  out may alias a or b.
+  /// scratch_size() limbs.  out may alias a or b.  At width 8 (the CRT
+  /// halves of RSA-1024) it runs the BMI2+ADX kernel when the CPU has it
+  /// (crypto/mont_kernel.hpp).
   void mont_mul(const limb_t* a, const limb_t* b, limb_t* out, limb_t* scratch) const;
 
-  /// out = a^2*R^-1 mod N for a in [0, N): lk::sqr (half the cross
-  /// products) followed by a separate Montgomery reduction pass.  Faster
-  /// than mont_mul(a, a, ...) — exponentiation is mostly squarings.
+  /// out = a^2*R^-1 mod N for a in [0, N).  Fixed widths (4/6/8/12/16):
+  /// the fused mont_mul(a, a), so width 8 also gets the BMI2+ADX kernel.
+  /// Everything else: lk::sqr (half the cross products) followed by a
+  /// separate Montgomery reduction pass.  Exponentiation is mostly
+  /// squarings.  out may alias a.
   void mont_sqr(const limb_t* a, limb_t* out, limb_t* scratch) const;
 
   /// out = a*R mod N for a in [0, N): multiply by the cached R^2.

@@ -542,7 +542,7 @@ void register_transport_targets() {
 /// the offending bytes for `--repro`.
 void crypto_diff_check(ByteSpan data) {
   su::ByteReader r(data);
-  switch (r.u8() % 3) {
+  switch (r.u8() % 4) {
     case 0: {  // Knuth-D divmod vs the 16-bit-digit schoolbook reference
       const std::size_t un = r.u8() % std::size_t{24} + 1;  // dividend 64-bit limbs
       const std::size_t vn = r.u8() % un + 1;               // divisor never wider
@@ -573,7 +573,7 @@ void crypto_diff_check(ByteSpan data) {
       }
       break;
     }
-    default: {  // RSA-CRT signing vs the verbatim seed signer, cross-verified
+    case 2: {  // RSA-CRT signing vs the verbatim seed signer, cross-verified
       static const scr::RsaPrivateKey key = [] {
         su::SplitMix64 rng(424242);  // 768-bit: smallest PKCS#1/SHA-512 modulus
         return scr::rsa_generate(768, rng);
@@ -586,6 +586,22 @@ void crypto_diff_check(ByteSpan data) {
       if (!scr::rsa_verify(key.public_key(), msg, sig) ||
           !scr::ref::rsa_verify_seed(key.public_key(), msg, sig)) {
         throw std::logic_error("crypto_diff: signature rejected by a verifier");
+      }
+      break;
+    }
+    default: {  // constant-time ladder on the 512-bit (width-8) kernel vs the seed ladder
+      // Top bit and low bit forced: exactly 8 limbs, odd.  The RSA arm's
+      // 768-bit key has 6-limb CRT halves, so only this arm reaches width 8.
+      Bytes modulus = r.raw(8 * 8);
+      modulus.front() |= 0x80;
+      modulus.back() |= 0x01;
+      const scr::BigInt n = scr::BigInt::from_bytes_be(modulus);
+      const scr::BigInt base = scr::BigInt::from_bytes_be(r.raw(8 * 8));
+      const std::size_t en = r.u8() % std::size_t{8} + 1;
+      const scr::BigInt e = scr::BigInt::from_bytes_be(r.raw(en * 8));
+      const scr::MontCtx ctx(n);
+      if (ctx.exp_ct(base, e) != scr::ref::mod_exp32(base, e, n)) {
+        throw std::logic_error("crypto_diff: 512-bit exp_ct disagrees with mod_exp32");
       }
       break;
     }
@@ -621,6 +637,8 @@ void register_crypto_targets() {
       // mont exp: 4-limb modulus, 4-limb base, 2-limb exponent
       cat(cat(Bytes{1, 3}, rand_bytes(4 * 8 + 4 * 8)), cat(Bytes{1}, rand_bytes(2 * 8))),
       cat(Bytes{2}, rand_bytes(41)),  // CRT sign over a PRF-message-sized payload
+      // exp_ct at 8 limbs: modulus, base, 8-limb exponent
+      cat(cat(Bytes{3}, rand_bytes(8 * 8 + 8 * 8)), cat(Bytes{7}, rand_bytes(8 * 8))),
   };
   diff.decode = crypto_diff_check;
   diff.reencode = nullptr;

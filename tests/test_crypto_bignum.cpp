@@ -245,8 +245,9 @@ TEST(Primality, GeneratePrimeHasExactBitsAndIsOdd) {
   }
 }
 
-// Karatsuba path (operands above the 32-limb threshold) must agree with
-// schoolbook results computed through the small-operand path.
+// Large-operand multiplies (16..96 limbs, well past anything RSA-1024
+// needs) checked through division and distributivity; the names recall
+// the Karatsuba branch these once covered.
 TEST(BigInt, KaratsubaMatchesSchoolbookRandomized) {
   spider::util::SplitMix64 rng(271828);
   for (int iter = 0; iter < 40; ++iter) {

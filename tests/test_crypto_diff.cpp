@@ -1,7 +1,8 @@
 // Differential battery for the limb-array crypto engine: every fast kernel
-// (schoolbook/Karatsuba multiply, squaring, Knuth-D division, CIOS
-// Montgomery multiplication, windowed exponentiation, RSA-CRT signing,
-// multi-lane SHA-512) is cross-checked against the retained reference
+// (schoolbook multiply, squaring, Knuth-D division, CIOS Montgomery
+// multiplication including the 512-bit BMI2+ADX kernel, windowed and
+// constant-time exponentiation, RSA-CRT signing, multi-lane SHA-512) is
+// cross-checked against the retained reference
 // implementations (crypto/bignum_ref.hpp) over seeded random operands and
 // adversarial shapes: all-ones limbs, top-bit-set limbs, zero/one/modulus±1
 // operands, powers of two, carry-chain stressors.
@@ -24,6 +25,7 @@
 #include "crypto/bignum_ref.hpp"
 #include "crypto/limb.hpp"
 #include "crypto/mont.hpp"
+#include "crypto/mont_kernel.hpp"
 #include "crypto/random.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha2.hpp"
@@ -242,6 +244,104 @@ TEST(CryptoDiffMontgomery, SqrMatchesMulOnEveryWidthPath) {
       ctx.mont_mul(a.data(), a.data(), via_mul.data(), scratch.data());
       ctx.mont_sqr(a.data(), via_sqr.data(), scratch.data());
       EXPECT_EQ(via_mul, via_sqr) << "width=" << width << " n=" << n.to_hex();
+    }
+  }
+}
+
+namespace {
+
+/// Limbs of v zero-padded to exactly `width`.
+std::vector<limb_t> padded_limbs(const BigInt& v, std::size_t width) {
+  std::vector<limb_t> out = v.limbs();
+  out.resize(width, 0);
+  return out;
+}
+
+/// Runs the width-8 kernels on (a, b) — separate output, output aliasing
+/// a, and both kernels as squarings (mont_sqr's width-8 path) with the
+/// output aliasing the operand — and checks that they agree and that the
+/// result is a*b*2^-512 mod n.
+void expect_mont8_kernels_agree(const BigInt& n, const BigInt& av, const BigInt& bv) {
+  const std::vector<limb_t> nl = padded_limbs(n, 8);
+  const limb_t n0 = sc::detail::mont_n0(nl[0]);
+  const std::vector<limb_t> a = padded_limbs(av, 8);
+  const std::vector<limb_t> b = padded_limbs(bv, 8);
+  std::vector<limb_t> adx(8), portable(8);
+  sc::detail::mont_mul8_adx(a.data(), b.data(), nl.data(), n0, adx.data());
+  sc::detail::mont_mul8_portable(a.data(), b.data(), nl.data(), n0, portable.data());
+  ASSERT_EQ(adx, portable) << "mul n=" << n.to_hex() << " a=" << av.to_hex()
+                           << " b=" << bv.to_hex();
+  ASSERT_EQ((BigInt::from_limbs(adx) << 512) % n, (av * bv) % n) << "n=" << n.to_hex();
+
+  std::vector<limb_t> aliased = a;
+  sc::detail::mont_mul8_adx(aliased.data(), b.data(), nl.data(), n0, aliased.data());
+  ASSERT_EQ(aliased, portable) << "out aliasing a, n=" << n.to_hex();
+
+  std::vector<limb_t> sq_adx = a, sq_portable = a;
+  sc::detail::mont_mul8_adx(sq_adx.data(), sq_adx.data(), nl.data(), n0, sq_adx.data());
+  sc::detail::mont_mul8_portable(sq_portable.data(), sq_portable.data(), nl.data(), n0,
+                                 sq_portable.data());
+  ASSERT_EQ(sq_adx, sq_portable) << "sqr n=" << n.to_hex() << " a=" << av.to_hex();
+  ASSERT_EQ((BigInt::from_limbs(sq_adx) << 512) % n, (av * av) % n) << "sqr n=" << n.to_hex();
+}
+
+}  // namespace
+
+TEST(CryptoDiffMontAdx, MatchesPortableOnShapedOperands) {
+  if (!sc::detail::mont_mul8_adx_supported()) GTEST_SKIP() << "CPU lacks BMI2 or ADX";
+  SplitMix64 rng(5122012);
+  BigInt n;
+  for (int iter = 0; iter < 12000; ++iter) {
+    if (iter % 100 == 0) n = odd_modulus(rng, 449, 512);
+    const BigInt av = shaped_operand(rng, 512) % n;
+    const BigInt bv = shaped_operand(rng, 512) % n;
+    expect_mont8_kernels_agree(n, av, bv);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(CryptoDiffMontAdx, EdgeModuliAndOperands) {
+  if (!sc::detail::mont_mul8_adx_supported()) GTEST_SKIP() << "CPU lacks BMI2 or ADX";
+  SplitMix64 rng(1024);
+  const BigInt top = BigInt{1} << 512;
+  // N ≡ -1 (mod 2^64) makes n0 = 1.
+  const BigInt n0_one = ((BigInt::random_bits(448, rng) << 64) + (BigInt{1} << 64)) - BigInt{1};
+  ASSERT_EQ(sc::detail::mont_n0(n0_one.limbs()[0]), limb_t{1});
+  for (const BigInt& n : {top - BigInt{1}, (BigInt{1} << 511) + BigInt{1}, n0_one,
+                          odd_modulus(rng, 512, 512)}) {
+    const BigInt nm1 = n - BigInt{1};
+    std::vector<BigInt> ops = {BigInt{}, BigInt{1}, nm1, nm1 - BigInt{1}, n >> 1,
+                               (BigInt{1} << 256) - BigInt{1}};
+    for (int i = 0; i < 6; ++i) ops.push_back(BigInt::random_below(n, rng));
+    for (const BigInt& av : ops) {
+      for (const BigInt& bv : ops) {
+        expect_mont8_kernels_agree(n, av, bv);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(CryptoDiffMontgomery, ExpCtMatchesExp) {
+  // exp_ct's ladder (fixed trip count, masked table gather, unconditional
+  // multiply) against the variable-time window and the seed ladder, at
+  // every fixed kernel width.
+  SplitMix64 rng(7102012);
+  for (std::size_t width : {4u, 6u, 8u, 12u, 16u}) {
+    for (int iter = 0; iter < 3; ++iter) {
+      const BigInt n = odd_modulus(rng, 64 * width - 63, 64 * width);
+      const sc::MontCtx ctx(n);
+      ASSERT_EQ(ctx.width(), width);
+      const BigInt all_ones = (BigInt{1} << (64 * width)) - BigInt{1};
+      for (const BigInt& e : {BigInt{}, BigInt{1}, all_ones, n - BigInt{2}}) {
+        for (const BigInt& base : {shaped_operand(rng, 64 * width), n - BigInt{1}}) {
+          const BigInt ct = ctx.exp_ct(base, e);
+          EXPECT_EQ(ct, ctx.exp(base, e)) << "width=" << width << " e=" << e.to_hex();
+          EXPECT_EQ(ct, ref::mod_exp32(base, e, n))
+              << "width=" << width << " n=" << n.to_hex() << " b=" << base.to_hex()
+              << " e=" << e.to_hex();
+        }
+      }
     }
   }
 }
@@ -627,6 +727,9 @@ TEST(CryptoDiffTsan, ConcurrentSignExpAndBatchHashOnSharedObjects) {
   }();
   const sc::MontCtx ctx(n);
   const sc::CommitmentPrf prf(sc::seed_from_string("tsan-prf"));
+  // RSA-1024: its CRT halves run on the width-8 kernel.
+  const sc::RsaSigner signer(full_test_key());
+  const sc::RsaVerifier verifier(full_test_key().public_key());
 
   constexpr int kThreads = 4;
   constexpr int kIters = 6;
@@ -641,6 +744,11 @@ TEST(CryptoDiffTsan, ConcurrentSignExpAndBatchHashOnSharedObjects) {
         Bytes sig = sc::rsa_sign(key, msg);
         if (sig != ref::rsa_sign_seed(key, msg)) failures[static_cast<std::size_t>(t)]++;
         if (!sc::rsa_verify(pub, msg, sig)) failures[static_cast<std::size_t>(t)]++;
+        Bytes full_sig = signer.sign(msg);
+        if (full_sig != ref::rsa_sign_seed(full_test_key(), msg)) {
+          failures[static_cast<std::size_t>(t)]++;
+        }
+        if (!verifier.verify(msg, full_sig)) failures[static_cast<std::size_t>(t)]++;
 
         BigInt base = BigInt::random_bits(200, rng);
         BigInt e = BigInt::random_bits(48, rng);

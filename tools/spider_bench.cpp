@@ -15,6 +15,7 @@
 //   spider_bench --all --baseline BENCH_baseline.json
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -34,6 +35,7 @@
 #include "core/mtt.hpp"
 #include "crypto/bignum_ref.hpp"
 #include "crypto/mont.hpp"
+#include "crypto/mont_kernel.hpp"
 #include "crypto/rc4.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha2.hpp"
@@ -544,6 +546,47 @@ json::Object run_crypto(const benchutil::BenchScale&) {
     for (int i = 0; i < verify_iters; ++i) (void)crypto::rsa_verify(pub, msg, sig);
     results.push_back(
         result_row("RSA-1024 verify", verify_iters / verify_timer.seconds(), "ops/s", "-"));
+  }
+  {
+    // The 512-bit Montgomery multiply behind both RSA-1024 CRT halves:
+    // each kernel runs a dependent chain (x = x*b), interleaved with the
+    // other over several repeats; the minimum per kernel is reported, as
+    // the host's clock drifts between repeats.
+    util::SplitMix64 rng(5122012);
+    crypto::BigInt n = crypto::BigInt::random_bits(512, rng);
+    if ((n % crypto::BigInt{2}).is_zero()) n = n + crypto::BigInt{1};
+    auto limbs8 = [](const crypto::BigInt& v) {
+      std::vector<crypto::limb_t> out = v.limbs();
+      out.resize(8, 0);
+      return out;
+    };
+    const std::vector<crypto::limb_t> nl = limbs8(n);
+    const std::vector<crypto::limb_t> b = limbs8(crypto::BigInt::random_bits(512, rng) % n);
+    const std::vector<crypto::limb_t> a = limbs8(crypto::BigInt::random_bits(512, rng) % n);
+    const crypto::limb_t n0 = crypto::detail::mont_n0(nl[0]);
+    using Kernel = void (*)(const crypto::limb_t*, const crypto::limb_t*, const crypto::limb_t*,
+                            crypto::limb_t, crypto::limb_t*);
+    const bool adx = crypto::detail::mont_mul8_adx_supported();
+    const int chain = 20'000;
+    auto time_chain = [&](Kernel kernel, std::vector<crypto::limb_t>& x) {
+      x = a;
+      util::WallTimer timer;
+      for (int i = 0; i < chain; ++i) kernel(x.data(), b.data(), nl.data(), n0, x.data());
+      return timer.seconds() * 1e9 / chain;
+    };
+    double adx_ns = std::numeric_limits<double>::infinity();
+    double portable_ns = std::numeric_limits<double>::infinity();
+    std::vector<crypto::limb_t> x_adx, x_portable;
+    for (int rep = 0; rep < 5; ++rep) {
+      if (adx) adx_ns = std::min(adx_ns, time_chain(crypto::detail::mont_mul8_adx, x_adx));
+      portable_ns =
+          std::min(portable_ns, time_chain(crypto::detail::mont_mul8_portable, x_portable));
+    }
+    if (adx) {
+      if (x_adx != x_portable) std::abort();  // kernels must agree before we compare speeds
+      results.push_back(result_row("Montgomery mul 512-bit (ADX)", adx_ns, "ns/op", "-"));
+    }
+    results.push_back(result_row("Montgomery mul 512-bit (portable)", portable_ns, "ns/op", "-"));
   }
   {
     // Bare 1024-bit modular exponentiation: windowed Montgomery vs the seed
