@@ -49,6 +49,8 @@ bool Prefix::contains(const Prefix& other) const {
   return (other.bits_ & mask_for(length_)) == bits_;
 }
 
+Prefix Prefix::last_contained() const { return Prefix(bits_ | ~mask_for(length_), 32); }
+
 std::string Prefix::str() const {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u/%u", bits_ >> 24, (bits_ >> 16) & 0xff,

@@ -3,6 +3,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -31,6 +32,13 @@ class Prefix {
   /// True when `other` is equal to or more specific than this prefix.
   bool contains(const Prefix& other) const;
 
+  /// The greatest prefix this one contains, in Prefix order (bits, then
+  /// length): the host bits all set, length 32.  Exactly the prefixes
+  /// `contains` accepts sort in [*this, last_contained()] — a shorter
+  /// prefix with the same bits sorts before *this, and a canonical prefix
+  /// shorter than this one cannot have bits strictly inside the range.
+  Prefix last_contained() const;
+
   std::string str() const;
 
   void encode(util::ByteWriter& w) const;
@@ -42,5 +50,25 @@ class Prefix {
   std::uint32_t bits_ = 0;
   std::uint8_t length_ = 0;
 };
+
+/// A begin/end pair usable in range-for.
+template <typename It>
+struct KeyRange {
+  It first;
+  It last;
+  It begin() const { return first; }
+  It end() const { return last; }
+};
+
+/// The entries of a Prefix-keyed ordered map whose keys lie inside
+/// `within` (all entries for nullopt).  A subtree is one contiguous key
+/// range (see last_contained), so this costs two lookups plus the
+/// subtree's size, not a walk of the whole map.
+template <typename Map>
+auto subtree_of(Map& map, const std::optional<Prefix>& within) {
+  using It = decltype(map.begin());
+  if (!within) return KeyRange<It>{map.begin(), map.end()};
+  return KeyRange<It>{map.lower_bound(*within), map.upper_bound(within->last_contained())};
+}
 
 }  // namespace spider::bgp

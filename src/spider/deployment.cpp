@@ -66,6 +66,7 @@ Fig5Deployment::Fig5Deployment(DeploymentConfig config) : config_(std::move(conf
     recorder_nodes_[asn] = sim_.add_node(*transports_[asn], "rec-as" + std::to_string(asn));
     recorders_[asn] =
         std::make_unique<Recorder>(*transports_[asn], rc, *signers_[asn], keys_, *speakers_[asn]);
+    generators_[asn] = std::make_unique<ProofGenerator>(*recorders_[asn]);
   }
 
   // Links + neighbor wiring: one BGP link and one SPIDeR link per edge.

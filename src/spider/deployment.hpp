@@ -16,6 +16,7 @@
 #include "core/vpref.hpp"
 #include "crypto/rsa.hpp"
 #include "netsim/sim.hpp"
+#include "spider/proof_generator.hpp"
 #include "spider/recorder.hpp"
 #include "trace/routeviews.hpp"
 #include "transport/netsim_transport.hpp"
@@ -51,6 +52,10 @@ class Fig5Deployment {
   netsim::Simulator& sim() { return sim_; }
   bgp::Speaker& speaker(bgp::AsNumber asn) { return *speakers_.at(asn); }
   Recorder& recorder(bgp::AsNumber asn) { return *recorders_.at(asn); }
+  /// `asn`'s proof generator, bound to its recorder for the deployment's
+  /// lifetime, so its reconstruction cache serves every session on the
+  /// same commitment (verify::run_session uses it).
+  ProofGenerator& proof_generator(bgp::AsNumber asn) { return *generators_.at(asn); }
   const core::KeyRegistry& keys() const { return keys_; }
   const DeploymentConfig& config() const { return config_; }
   /// The simulator node carrying `asn`'s recorder traffic (its
@@ -79,6 +84,7 @@ class Fig5Deployment {
   std::map<bgp::AsNumber, std::unique_ptr<bgp::Speaker>> speakers_;
   std::map<bgp::AsNumber, std::unique_ptr<transport::NetsimTransport>> transports_;
   std::map<bgp::AsNumber, std::unique_ptr<Recorder>> recorders_;
+  std::map<bgp::AsNumber, std::unique_ptr<ProofGenerator>> generators_;
   std::map<bgp::AsNumber, netsim::NodeId> speaker_nodes_;
   std::map<bgp::AsNumber, netsim::NodeId> recorder_nodes_;
 };

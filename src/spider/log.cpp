@@ -1,6 +1,7 @@
 #include "spider/log.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "crypto/ct.hpp"
 #include "util/serde.hpp"
@@ -30,6 +31,11 @@ Digest20 chain_hash(const Digest20& prev, const LogEntry& entry) {
                                   util::ByteSpan{entry.message.data(), entry.message.size()}});
 }
 }  // namespace
+
+std::uint64_t MessageLog::Generation::next() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
 
 Bytes LogEntry::encode() const {
   util::ByteWriter w;
@@ -185,6 +191,7 @@ std::vector<const LogEntry*> MessageLog::entries_between(Time after, Time until)
 }
 
 void MessageLog::prune_before(Time cutoff) {
+  generation_.value = Generation::next();
   auto it = std::find_if(entries_.begin(), entries_.end(),
                          [cutoff](const LogEntry& e) { return e.timestamp >= cutoff; });
   for (auto del = entries_.begin(); del != it; ++del) {

@@ -110,6 +110,13 @@ class MessageLog {
   /// stored base authenticator.
   void prune_before(Time cutoff);
 
+  /// Process-unique tag of this log's retained content.  Appends keep it;
+  /// prune_before and every copy or move into (or out of) this object
+  /// draw a fresh one.  State derived from the log, like the proof
+  /// generator's reconstruction cache, pins it so that content removed or
+  /// replaced underneath is never served.
+  std::uint64_t generation() const { return generation_.value; }
+
   // --- storage accounting (§7.7)
   std::uint64_t message_bytes() const { return message_bytes_; }
   std::uint64_t signature_bytes() const { return signature_bytes_; }
@@ -126,6 +133,24 @@ class MessageLog {
   std::uint64_t message_bytes_ = 0;
   std::uint64_t signature_bytes_ = 0;
   std::uint64_t checkpoint_bytes_ = 0;
+
+  struct Generation {
+    static std::uint64_t next();
+    Generation() = default;
+    Generation(const Generation&) : value(next()) {}
+    Generation(Generation&& other) noexcept : value(next()) { other.value = next(); }
+    Generation& operator=(const Generation&) {
+      value = next();
+      return *this;
+    }
+    Generation& operator=(Generation&& other) noexcept {
+      value = next();
+      other.value = next();
+      return *this;
+    }
+    std::uint64_t value = next();
+  };
+  Generation generation_;
 };
 
 }  // namespace spider::proto

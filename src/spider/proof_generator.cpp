@@ -1,5 +1,6 @@
 #include "spider/proof_generator.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "crypto/ct.hpp"
@@ -166,6 +167,53 @@ ProofGenerator::Reconstruction ProofGenerator::reconstruct(Time commit_time,
   return recon;
 }
 
+ProofGenerator::ReconKey ProofGenerator::recon_key(Time commit_time) const {
+  const MessageLog& log = recorder_.log();
+  const CommitmentRecord* record = log.commitment_at(commit_time);
+  if (!record) throw std::invalid_argument("ProofGenerator: no commitment at requested time");
+  const LogCheckpoint* checkpoint = log.checkpoint_before(commit_time);
+  if (!checkpoint) throw std::invalid_argument("ProofGenerator: no checkpoint before commitment");
+
+  ReconKey key;
+  key.commit_time = commit_time;
+  key.root = record->root;
+  key.log_generation = log.generation();
+  key.checkpoint_time = checkpoint->timestamp;
+  // The last entry entries_between(checkpoint, T) hands the replay: an
+  // entry logged at T after the commitment would extend it.
+  const auto& entries = log.entries();
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    if (it->timestamp > checkpoint->timestamp && it->timestamp <= commit_time) {
+      key.last_seq = it->seq;
+      break;
+    }
+  }
+  key.ignore_inputs = recorder_.faults().ignore_inputs;
+  key.promises_version = recorder_.promises_version();
+  return key;
+}
+
+std::shared_ptr<const ProofGenerator::Reconstruction> ProofGenerator::reconstruction(
+    Time commit_time, unsigned threads, bool* cache_hit) {
+  ReconKey key = recon_key(commit_time);
+  auto it = std::find_if(recon_cache_.begin(), recon_cache_.end(),
+                         [&](const auto& entry) { return entry.first.commit_time == commit_time; });
+  if (it != recon_cache_.end()) {
+    if (it->first == key) {
+      std::rotate(recon_cache_.begin(), it, it + 1);  // most recently used first
+      SPIDER_OBS_COUNT("proof_gen/reconstruct_cache_hits", 1);
+      if (cache_hit != nullptr) *cache_hit = true;
+      return recon_cache_.front().second;
+    }
+    recon_cache_.erase(it);  // the log or a fault knob changed underneath
+  }
+  auto recon = std::make_shared<const Reconstruction>(reconstruct(commit_time, threads));
+  if (recon_cache_.size() >= kReconCacheCapacity) recon_cache_.pop_back();
+  recon_cache_.emplace(recon_cache_.begin(), std::move(key), recon);
+  if (cache_hit != nullptr) *cache_hit = false;
+  return recon;
+}
+
 ProducerProofs ProofGenerator::proofs_for_producer(const Reconstruction& recon,
                                                    bgp::AsNumber producer,
                                                    std::optional<bgp::Prefix> within) const {
@@ -186,8 +234,7 @@ ProducerProofs ProofGenerator::proofs_for_producer(const Reconstruction& recon,
   auto inputs_it = recon.state.inputs().find(producer);
   if (inputs_it == recon.state.inputs().end()) return proofs;
 
-  for (const auto& [prefix, record] : inputs_it->second) {
-    if (within && !within->contains(prefix)) continue;
+  for (const auto& [prefix, record] : bgp::subtree_of(inputs_it->second, within)) {
     if (subset != nullptr && subset->count(prefix) == 0) continue;
     // Loose sync (§6.4): the elector may justify itself against any
     // in-window value from this producer that would not have been
@@ -250,8 +297,7 @@ ConsumerProofs ProofGenerator::proofs_for_consumer(const Reconstruction& recon,
   auto exports_it = recon.state.exports().find(consumer);
   if (exports_it == recon.state.exports().end()) return proofs;
 
-  for (const auto& [prefix, record] : exports_it->second) {
-    if (within && !within->contains(prefix)) continue;
+  for (const auto& [prefix, record] : bgp::subtree_of(exports_it->second, within)) {
     if (subset != nullptr && subset->count(prefix) == 0) continue;
     bgp::Route underlying = underlying_route(record.route, recorder_.config().asn);
     core::ClassId cls = classifier.classify(underlying);
@@ -273,12 +319,12 @@ ConsumerProofs ProofGenerator::proofs_for_consumer(const Reconstruction& recon,
 
 std::vector<SpiderAnnounce> ProofGenerator::select_re_announcements(
     const Reconstruction& recon, bgp::AsNumber consumer,
-    const std::vector<ReAnnounceSet>& sets) const {
+    const std::vector<ReAnnounceSet>& sets, std::optional<bgp::Prefix> within) const {
   std::vector<SpiderAnnounce> selected;
   auto exports_it = recon.state.exports().find(consumer);
   if (exports_it == recon.state.exports().end()) return selected;
 
-  for (const auto& [prefix, record] : exports_it->second) {
+  for (const auto& [prefix, record] : bgp::subtree_of(exports_it->second, within)) {
     bgp::Route underlying = underlying_route(record.route, recorder_.config().asn);
     if (underlying.as_path.empty()) continue;  // locally originated
     for (const ReAnnounceSet& set : sets) {
@@ -294,11 +340,11 @@ std::vector<SpiderAnnounce> ProofGenerator::select_re_announcements(
 }
 
 ReAnnounceSet build_re_announce_set(const Recorder& producer_recorder, bgp::AsNumber elector,
-                                    Time commit_time) {
+                                    Time commit_time, std::optional<bgp::Prefix> within) {
   ReAnnounceSet set;
   set.from_as = producer_recorder.config().asn;
   set.commit_time = commit_time;
-  for (const auto& [prefix, route] : producer_recorder.my_exports_to(elector)) {
+  for (const auto& [prefix, route] : producer_recorder.my_exports_to(elector, within)) {
     SpiderAnnounce announce;
     announce.timestamp = commit_time;  // §6.6: timestamps equal commit time
     announce.from_as = set.from_as;

@@ -14,8 +14,10 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/mtt.hpp"
@@ -105,6 +107,22 @@ class ProofGenerator {
   /// std::invalid_argument when no commitment/checkpoint covers T.
   Reconstruction reconstruct(Time commit_time, unsigned threads = 1) const;
 
+  /// reconstruct() through a bounded cache: every neighbor of the elector
+  /// verifies the same commitment (§6.1), so one rebuild serves them all.
+  /// Each call re-derives the cache key from the recorder's log — commit
+  /// time, logged root, base checkpoint, last replayed entry, the log's
+  /// generation (see MessageLog::generation), ignore_inputs and the
+  /// promises version — and rebuilds on any difference, so pruning,
+  /// restore_from or a changed fault knob never serves a stale tree.
+  /// Throws exactly as reconstruct() does.  `cache_hit` (optional)
+  /// reports whether the result was served without rebuilding.  Unlike
+  /// the const proof methods it mutates the cache: one caller at a time.
+  std::shared_ptr<const Reconstruction> reconstruction(Time commit_time, unsigned threads = 1,
+                                                       bool* cache_hit = nullptr);
+
+  /// Reconstructions kept: the §6.5 two-round retention.
+  static constexpr std::size_t kReconCacheCapacity = 2;
+
   /// `within` restricts the proofs to prefixes inside one covering prefix
   /// — the §7.3 suggestion for keeping proof sizes down ("its neighbors
   /// could trigger verification for smaller subtrees, e.g., all prefixes
@@ -134,20 +152,40 @@ class ProofGenerator {
   /// RE-ANNOUNCE sets, select those matching the routes that were exported
   /// to `consumer` at T.  The elector must collect *all* sets first —
   /// asking only for chosen routes would reveal its choices (§6.6).
+  /// `within` limits the walk to one prefix subtree (§7.3).
   std::vector<SpiderAnnounce> select_re_announcements(
       const Reconstruction& recon, bgp::AsNumber consumer,
-      const std::vector<ReAnnounceSet>& sets) const;
+      const std::vector<ReAnnounceSet>& sets,
+      std::optional<bgp::Prefix> within = std::nullopt) const;
 
   Faults& faults() { return faults_; }
 
  private:
+  /// Every input reconstruct() reads that can change under a fixed
+  /// recorder (its config and classifier are fixed at construction).
+  struct ReconKey {
+    Time commit_time = 0;
+    Digest20 root{};
+    std::uint64_t log_generation = 0;
+    Time checkpoint_time = 0;
+    std::optional<std::uint64_t> last_seq;  // nullopt: nothing to replay
+    std::set<bgp::AsNumber> ignore_inputs;
+    std::uint64_t promises_version = 0;
+    bool operator==(const ReconKey&) const = default;
+  };
+  ReconKey recon_key(Time commit_time) const;
+
   const Recorder& recorder_;
   Faults faults_;
+  /// Most recently used first; at most kReconCacheCapacity entries.
+  std::vector<std::pair<ReconKey, std::shared_ptr<const Reconstruction>>> recon_cache_;
 };
 
 /// Builds the RE-ANNOUNCE set a producer submits for extended verification
 /// of `elector`'s commitment at T, from the producer's own export mirror.
+/// `within` limits the set to one prefix subtree (§7.3).
 ReAnnounceSet build_re_announce_set(const Recorder& producer_recorder, bgp::AsNumber elector,
-                                    Time commit_time);
+                                    Time commit_time,
+                                    std::optional<bgp::Prefix> within = std::nullopt);
 
 }  // namespace spider::proto

@@ -615,19 +615,25 @@ void Recorder::alarm(std::string what) {
   alarms_.push_back(std::move(what));
 }
 
-std::map<bgp::Prefix, bgp::Route> Recorder::my_exports_to(bgp::AsNumber neighbor) const {
+std::map<bgp::Prefix, bgp::Route> Recorder::my_exports_to(
+    bgp::AsNumber neighbor, std::optional<bgp::Prefix> within) const {
   std::map<bgp::Prefix, bgp::Route> out;
   auto it = state_.exports().find(neighbor);
   if (it == state_.exports().end()) return out;
-  for (const auto& [prefix, record] : it->second) out.emplace(prefix, record.route);
+  for (const auto& [prefix, record] : bgp::subtree_of(it->second, within)) {
+    out.emplace_hint(out.end(), prefix, record.route);
+  }
   return out;
 }
 
-std::map<bgp::Prefix, bgp::Route> Recorder::my_imports_from(bgp::AsNumber neighbor) const {
+std::map<bgp::Prefix, bgp::Route> Recorder::my_imports_from(
+    bgp::AsNumber neighbor, std::optional<bgp::Prefix> within) const {
   std::map<bgp::Prefix, bgp::Route> out;
   auto it = state_.inputs().find(neighbor);
   if (it == state_.inputs().end()) return out;
-  for (const auto& [prefix, record] : it->second) out.emplace(prefix, record.route);
+  for (const auto& [prefix, record] : bgp::subtree_of(it->second, within)) {
+    out.emplace_hint(out.end(), prefix, record.route);
+  }
   return out;
 }
 

@@ -175,6 +175,8 @@ class Recorder {
   MessageLog& mutable_log() { return log_; }
   const core::PathLengthClassifier& classifier() const { return classifier_; }
   const std::map<bgp::AsNumber, core::Promise>& promises() const { return promises_; }
+  /// Bumped by every set_promise(); caches of promise-derived state pin it.
+  std::uint64_t promises_version() const { return promises_version_; }
   Faults& faults() { return faults_; }
   const Faults& faults() const { return faults_; }
   const crypto::Signer& signer() const { return signer_; }
@@ -189,8 +191,12 @@ class Recorder {
 
   /// What this AS currently believes it is exporting to / importing from a
   /// neighbor — the checker's ground truth when verifying that neighbor.
-  std::map<bgp::Prefix, bgp::Route> my_exports_to(bgp::AsNumber neighbor) const;
-  std::map<bgp::Prefix, bgp::Route> my_imports_from(bgp::AsNumber neighbor) const;
+  /// `within` keeps only one prefix subtree and walks only that key range
+  /// (§7.3 subtree sessions); nullopt = everything.
+  std::map<bgp::Prefix, bgp::Route> my_exports_to(
+      bgp::AsNumber neighbor, std::optional<bgp::Prefix> within = std::nullopt) const;
+  std::map<bgp::Prefix, bgp::Route> my_imports_from(
+      bgp::AsNumber neighbor, std::optional<bgp::Prefix> within = std::nullopt) const;
 
   /// Writes a full checkpoint of the mirrored state into the log now.
   void make_checkpoint();

@@ -2,6 +2,7 @@
 
 #include <condition_variable>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -225,11 +226,20 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
   }
   report.equivocation = proto::Checker::cross_check_commits(elector, commits);
 
-  // --- Phase 2: the elector reconstructs (checkpoint + replay + seed).
-  proto::ProofGenerator generator(deploy.recorder(elector));
-  auto recon = generator.reconstruct(commit_time, deploy.recorder(elector).config().commit_threads);
+  // --- Phase 2: the elector reconstructs (checkpoint + replay + seed),
+  // or reuses the rebuild an earlier session on this commitment paid for.
+  proto::ProofGenerator& generator = deploy.proof_generator(elector);
+  bool cache_hit = false;
+  const std::shared_ptr<const proto::ProofGenerator::Reconstruction> recon_ptr =
+      generator.reconstruction(commit_time, deploy.recorder(elector).config().commit_threads,
+                               &cache_hit);
+  const proto::ProofGenerator::Reconstruction& recon = *recon_ptr;
   report.root_matches = recon.root_matches;
-  stats.reconstruct_seconds = recon.reconstruct_seconds;
+  if (cache_hit) {
+    ++stats.reconstruct_cache_hits;
+  } else {
+    stats.reconstruct_seconds = recon.reconstruct_seconds;
+  }
 
   // Extended verification inputs are gathered up front: the elector must
   // request RE-ANNOUNCE sets from every producer regardless of which
@@ -241,7 +251,7 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
       SPIDER_OBS_COUNT("spider/challenge_round_trips", 1);
       ++stats.challenge_round_trips;
       re_sets.push_back(proto::build_re_announce_set(deploy.recorder(neighbor), elector,
-                                                     commit_time));
+                                                     commit_time, within));
     }
   }
 
@@ -262,14 +272,10 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
     }
     plan.commit = commit_it->second;
     const auto& rec = deploy.recorder(neighbor);
-    for (const auto& [prefix, route] : rec.my_exports_to(elector)) {
-      if (within && !within->contains(prefix)) continue;
+    for (const auto& [prefix, route] : rec.my_exports_to(elector, within)) {
       plan.window[prefix] = {route};
     }
-    for (const auto& [prefix, route] : rec.my_imports_from(elector)) {
-      if (within && !within->contains(prefix)) continue;
-      plan.imports.emplace(prefix, route);
-    }
+    plan.imports = rec.my_imports_from(elector, within);
     const auto& promises = deploy.recorder(elector).promises();
     auto promise_it = promises.find(neighbor);
     if (promise_it != promises.end()) plan.promise = &promise_it->second;
@@ -476,7 +482,7 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
     verdict.as_producer = plan.producer_detection;
     verdict.as_consumer = plan.consumer_detection;
     if (extended) {
-      auto selected = generator.select_re_announcements(recon, plan.neighbor, re_sets);
+      auto selected = generator.select_re_announcements(recon, plan.neighbor, re_sets, within);
       verdict.extended =
           proto::Checker::check_re_announcements(elector, plan.imports, selected);
     }

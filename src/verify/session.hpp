@@ -79,8 +79,11 @@ struct SessionStats {
   std::uint64_t signatures_verified = 0;
   std::uint64_t signature_batches = 0;  // rsa_verify_batch flushes
   std::uint64_t bad_signatures = 0;
+  // Reconstruction served from the proof generator's cache (0 or 1).
+  std::uint64_t reconstruct_cache_hits = 0;
   // Wall clock: session = the challenge/response part; reconstruction is
-  // the elector's replay prep and is identical in every configuration.
+  // the elector's replay prep, identical in every configuration and 0
+  // when the cache served it.
   double session_seconds = 0;
   double reconstruct_seconds = 0;
   double total_seconds = 0;

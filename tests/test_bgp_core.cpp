@@ -1,6 +1,10 @@
 // BGP substrate: prefixes, routes, the decision process, and RIBs.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <vector>
+
 #include "bgp/decision.hpp"
 
 #include "util/rng.hpp"
@@ -74,6 +78,36 @@ TEST(Prefix, OrderingIsTotal) {
   EXPECT_LT(a, b);  // same bits, shorter length first
   EXPECT_LT(a, c);
   EXPECT_LT(b, c);
+}
+
+TEST(Prefix, SubtreeIsOneContiguousKeyRange) {
+  // subtree_of must select exactly what `contains` accepts, including the
+  // edge cases: a shorter prefix with the same bits (sorts just before the
+  // subtree), the host route at the top of the range, /0 and /32 roots.
+  su::SplitMix64 rng(7);
+  std::map<Prefix, int> table;
+  for (int i = 0; i < 3000; ++i) {
+    // Few distinct top bytes so subtrees are dense and share boundaries.
+    const auto bits =
+        static_cast<std::uint32_t>((rng.below(4) << 30) | (rng.next() & 0x3fffffffu));
+    table.emplace(Prefix(bits, static_cast<std::uint8_t>(rng.below(33))), i);
+  }
+  std::vector<Prefix> roots = {Prefix::parse("0.0.0.0/0"), Prefix::parse("64.0.0.0/2"),
+                               Prefix::parse("255.255.255.255/32")};
+  for (const auto& [prefix, value] : table) {
+    if (rng.below(20) == 0) roots.push_back(prefix);
+  }
+  for (const Prefix& root : roots) {
+    std::vector<Prefix> filtered, ranged;
+    for (const auto& [prefix, value] : table) {
+      if (root.contains(prefix)) filtered.push_back(prefix);
+    }
+    for (const auto& [prefix, value] : sb::subtree_of(table, root)) ranged.push_back(prefix);
+    EXPECT_EQ(ranged, filtered) << root.str();
+    EXPECT_TRUE(root.contains(root.last_contained())) << root.str();
+  }
+  const auto whole = sb::subtree_of(table, std::nullopt);
+  EXPECT_TRUE(whole.begin() == table.begin() && whole.end() == table.end());
 }
 
 TEST(Prefix, EncodeDecodeRoundtrip) {

@@ -209,7 +209,9 @@ TEST(MessageLog, PruneRetainsBaseCheckpointAndChain) {
   sp::MessageLog log;
   log.add_checkpoint(0, {su::str_bytes("cp0")});
   for (int i = 1; i <= 10; ++i) {
-    log.append(i * 100, sp::LogDirection::kSent, 2, su::str_bytes("m" + std::to_string(i)), 2);
+    // Appended, not `"m" + std::to_string(i)`: GCC 12 -Wrestrict false positive at -O3.
+    const std::string text = std::string("m").append(std::to_string(i));
+    log.append(i * 100, sp::LogDirection::kSent, 2, su::str_bytes(text), 2);
   }
   log.add_checkpoint(500, {su::str_bytes("cp5")});
   sp::CommitmentRecord old_commit;
@@ -510,7 +512,8 @@ TEST(MirrorState, ChunkedRoundTripAcrossChunkSizes) {
       a.route.prefix = sb::Prefix::parse((std::to_string(10 + neighbor) + "." +
                                           std::to_string(i) + ".0.0/16")
                                              .c_str());
-      state.apply_announce_in(a, scr::digest20(su::str_bytes("d" + std::to_string(i))));
+      const std::string tag = std::string("d").append(std::to_string(i));
+      state.apply_announce_in(a, scr::digest20(su::str_bytes(tag)));
       auto out = a;
       out.to_as = neighbor;
       out.route.as_path.insert(out.route.as_path.begin(), 2);

@@ -9,11 +9,16 @@
 
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "core/mtt.hpp"
 #include "crypto/random.hpp"
 #include "crypto/rsa.hpp"
+#include "spider/proof_generator.hpp"
+#include "transport/netsim_transport.hpp"
 #include "util/rng.hpp"
 #include "verify/proof_path_cache.hpp"
 #include "verify/session.hpp"
@@ -190,6 +195,255 @@ TEST(VerifyEngine, NoCacheConfigDisablesDedup) {
   EXPECT_EQ(result.stats.cache_hits, 0u);
   EXPECT_EQ(result.stats.bytes_deduped, 0u);
   EXPECT_EQ(result.report.proof_bytes_deduped, 0u);
+}
+
+// ------------------------------------------------ reconstruction cache
+
+namespace {
+
+/// The /8 holding the trace's first table prefix: a populated subtree.
+sb::Prefix first_slash8(const st::RouteViewsTrace& trace) {
+  return sb::Prefix(trace.rib_snapshot.front().prefix.bits(), 8);
+}
+
+/// Every (config, within) pair runs once on a fresh world, where the
+/// session has to reconstruct, and once on a warmed world, where the
+/// deployment's generator serves the reconstruction from its cache.  The
+/// two reports must agree on every verdict, detail string, root_matches
+/// and proof count.
+void run_cache_differential(const std::function<void(sp::Fig5Deployment&)>& before,
+                            bool expect_clean) {
+  EngineWorld warm(5, false, before);
+  (void)sv::run_session(warm.deploy, 5, warm.commit_time, sv::SessionConfig{});
+  const std::optional<sb::Prefix> subtree = first_slash8(warm.trace);
+  for (const sv::SessionConfig& config : {sv::SessionConfig{}, sv::pipelined_config()}) {
+    for (const std::optional<sb::Prefix>& within : {std::optional<sb::Prefix>{}, subtree}) {
+      EngineWorld cold(5, false, before);
+      auto fresh = sv::run_session(cold.deploy, 5, cold.commit_time, config, /*extended=*/true,
+                                   within);
+      auto cached = sv::run_session(warm.deploy, 5, warm.commit_time, config, /*extended=*/true,
+                                    within);
+      EXPECT_EQ(fresh.stats.reconstruct_cache_hits, 0u);
+      EXPECT_GT(fresh.stats.reconstruct_seconds, 0.0);
+      EXPECT_EQ(cached.stats.reconstruct_cache_hits, 1u);
+      EXPECT_EQ(cached.stats.reconstruct_seconds, 0.0);
+      if (!within) {
+        EXPECT_EQ(fresh.report.clean(), expect_clean);
+      }
+      expect_identical_reports(fresh.report, cached.report);
+      EXPECT_EQ(fresh.stats.proofs_checked, cached.stats.proofs_checked);
+      EXPECT_EQ(fresh.report.proof_bytes, cached.report.proof_bytes);
+    }
+  }
+}
+
+}  // namespace
+
+TEST(ReconstructionCache, CachedSessionsMatchFreshOnesClean) {
+  run_cache_differential({}, /*expect_clean=*/true);
+}
+
+TEST(ReconstructionCache, CachedSessionsMatchFreshOnesOveraggressiveFilter) {
+  run_cache_differential(
+      [](sp::Fig5Deployment& deploy) {
+        deploy.speaker(5).inject_import_filter_fault(2);
+        deploy.recorder(5).faults().ignore_inputs = {2};
+      },
+      /*expect_clean=*/false);
+}
+
+TEST(ReconstructionCache, CachedSessionsMatchFreshOnesEquivocation) {
+  run_cache_differential(
+      [](sp::Fig5Deployment& deploy) { deploy.recorder(5).faults().equivocate_to = {2}; },
+      /*expect_clean=*/false);
+}
+
+TEST(ReconstructionCache, CachedSessionsMatchFreshOnesWithheldCommit) {
+  run_cache_differential(
+      [](sp::Fig5Deployment& deploy) { deploy.recorder(5).faults().withhold_commit_from = {2}; },
+      /*expect_clean=*/false);
+}
+
+TEST(ReconstructionCache, PruneInvalidatesAndPrunedCommitmentStillThrows) {
+  EngineWorld world;
+  auto& rec = world.deploy.recorder(5);
+  auto& generator = world.deploy.proof_generator(5);
+  bool hit = true;
+  (void)generator.reconstruction(world.commit_time, 1, &hit);
+  EXPECT_FALSE(hit);
+  (void)generator.reconstruction(world.commit_time, 1, &hit);
+  EXPECT_TRUE(hit);
+
+  // A prune that keeps the commitment still changes the retained log, so
+  // the next lookup rebuilds rather than trusting the old replay.
+  rec.enforce_retention(world.commit_time);
+  auto rebuilt = generator.reconstruction(world.commit_time, 1, &hit);
+  EXPECT_FALSE(hit);
+  sp::ProofGenerator fresh(rec);
+  EXPECT_EQ(rebuilt->root_matches, fresh.reconstruct(world.commit_time).root_matches);
+  EXPECT_EQ(rebuilt->tree.root_label(), fresh.reconstruct(world.commit_time).tree.root_label());
+
+  // Past the commitment: it throws exactly as an uncached generator does.
+  rec.enforce_retention(world.commit_time + 1);
+  EXPECT_THROW((void)fresh.reconstruct(world.commit_time), std::invalid_argument);
+  EXPECT_THROW((void)generator.reconstruction(world.commit_time), std::invalid_argument);
+  EXPECT_THROW((void)sv::run_session(world.deploy, 5, world.commit_time, sv::SessionConfig{}),
+               std::invalid_argument);
+}
+
+TEST(ReconstructionCache, RestoreFromRebuildsOrThrows) {
+  EngineWorld world;
+  const sp::MessageLog& original_log = world.deploy.recorder(5).log();
+
+  // A standalone, never-started recorder for AS 5 that adopts the log.
+  sn::Simulator sim;
+  const std::string secret = "fig5-key-5";
+  su::Bytes key(secret.begin(), secret.end());
+  scr::HashSigner signer(key);
+  sc::KeyRegistry keys;
+  keys.add(5, std::make_unique<scr::HashVerifier>(key));
+  sb::Speaker speaker(sim, 5, sb::Policy{});
+  sim.add_node(speaker, "bgp-as5");
+  spider::transport::NetsimTransport endpoint(sim);
+  sim.add_node(endpoint, "rec-as5");
+  const sp::DeploymentConfig dc = engine_config();
+  sp::RecorderConfig rc;
+  rc.asn = 5;
+  rc.num_classes = dc.num_classes;
+  rc.commit_interval = dc.commit_interval;
+  rc.batch_window = dc.batch_window;
+  rc.delta = dc.delta;
+  sp::Recorder restored(endpoint, rc, signer, keys, speaker);
+  for (sb::AsNumber neighbor : world.deploy.neighbors_of(5)) {
+    restored.set_promise(neighbor, sc::Promise::total_order(rc.num_classes));
+  }
+  sp::ProofGenerator generator(restored);
+
+  restored.restore_from(original_log);
+  bool hit = true;
+  auto first = generator.reconstruction(world.commit_time, 1, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_TRUE(first->root_matches);
+  (void)generator.reconstruction(world.commit_time, 1, &hit);
+  EXPECT_TRUE(hit);
+
+  // Restoring again, even the same history, replaces the log: rebuild.
+  restored.restore_from(original_log);
+  auto second = generator.reconstruction(world.commit_time, 1, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_TRUE(second->root_matches);
+  EXPECT_NE(first, second);
+
+  // A restored history that no longer holds the commitment: throw.
+  sp::MessageLog pruned = original_log;
+  pruned.prune_before(world.commit_time + 1);
+  restored.restore_from(std::move(pruned));
+  EXPECT_THROW((void)generator.reconstruction(world.commit_time), std::invalid_argument);
+}
+
+TEST(ReconstructionCache, ChangedIgnoreInputsRebuilds) {
+  EngineWorld world;
+  auto& rec = world.deploy.recorder(5);
+  auto& generator = world.deploy.proof_generator(5);
+  bool hit = true;
+  EXPECT_TRUE(generator.reconstruction(world.commit_time, 1, &hit)->root_matches);
+  EXPECT_FALSE(hit);
+
+  // The overaggressive-filter knob changes the MTT reconstruct builds: the
+  // cached clean tree must not answer for it.
+  rec.faults().ignore_inputs = {2};
+  auto filtered = generator.reconstruction(world.commit_time, 1, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_FALSE(filtered->root_matches);
+  EXPECT_EQ(filtered->tree.root_label(),
+            sp::ProofGenerator(rec).reconstruct(world.commit_time).tree.root_label());
+
+  rec.faults().ignore_inputs.clear();
+  auto clean = generator.reconstruction(world.commit_time, 1, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_TRUE(clean->root_matches);
+}
+
+TEST(ReconstructionCache, ThirdCommitmentEvictsTheOldest) {
+  EngineWorld world;
+  auto& rec = world.deploy.recorder(5);
+  std::vector<sn::Time> times = {world.commit_time};
+  for (int i = 0; i < 2; ++i) {
+    world.deploy.sim().run_until(world.deploy.sim().now() + kSecond);
+    times.push_back(rec.make_commitment().timestamp);
+    world.deploy.sim().run();
+  }
+  ASSERT_EQ(sp::ProofGenerator::kReconCacheCapacity, 2u);
+  auto& generator = world.deploy.proof_generator(5);
+  bool hit = true;
+  for (sn::Time t : times) {
+    EXPECT_TRUE(generator.reconstruction(t, 1, &hit)->root_matches);
+    EXPECT_FALSE(hit);
+  }
+  // Cached: the two newest.  The oldest was evicted and is rebuilt.
+  (void)generator.reconstruction(times[2], 1, &hit);
+  EXPECT_TRUE(hit);
+  (void)generator.reconstruction(times[1], 1, &hit);
+  EXPECT_TRUE(hit);
+  auto rebuilt = generator.reconstruction(times[0], 1, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_TRUE(rebuilt->root_matches);
+  EXPECT_EQ(rebuilt->commit_time, times[0]);
+}
+
+TEST(SubtreeSession, ReAnnounceFaultsStayInsideTheirSubtree) {
+  EngineWorld world;
+  // Two prefixes AS 6 imports from AS 5, in different /8s; `outside`
+  // sorts first, so a full session names it.
+  const auto imports = world.deploy.recorder(6).my_imports_from(5);
+  ASSERT_FALSE(imports.empty());
+  const sb::Prefix outside = imports.begin()->first;
+  std::optional<sb::Prefix> inside;
+  for (const auto& [prefix, route] : imports) {
+    if ((prefix.bits() >> 24) != (outside.bits() >> 24)) {
+      inside = prefix;
+      break;
+    }
+  }
+  ASSERT_TRUE(inside.has_value());
+  const sb::Prefix block(inside->bits(), 8);
+
+  // After the commitment AS 2 withdraws both, but the BGP link to AS 5 is
+  // down: AS 2's export mirror drops them while AS 5 keeps exporting
+  // them — a withdrawal that was not propagated (§6.6).
+  auto& sim = world.deploy.sim();
+  sim.set_link_up(world.deploy.speaker(2).node_id(), world.deploy.speaker(5).node_id(), false);
+  sb::Update withdraw;
+  withdraw.withdrawn = {outside, *inside};
+  world.deploy.speaker(2).inject(world.deploy.config().trace_peer, withdraw);
+  sim.run_until(sim.now() + 10 * kSecond);
+
+  auto detail_for = [](const sb::Prefix& prefix) {
+    return "route to " + prefix.str() + " no longer exists upstream: withdrawal was not propagated";
+  };
+  auto extended_of = [](const sp::VerificationReport& report, sb::AsNumber neighbor) {
+    for (const auto& verdict : report.verdicts) {
+      if (verdict.neighbor == neighbor) return verdict.extended;
+    }
+    return std::optional<sc::Detection>{};
+  };
+
+  for (const sv::SessionConfig& config : {sv::SessionConfig{}, sv::pipelined_config()}) {
+    auto subtree = sv::run_session(world.deploy, 5, world.commit_time, config,
+                                   /*extended=*/true, block);
+    auto found = extended_of(subtree.report, 6);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->kind, sc::FaultKind::kBrokenPromise);
+    EXPECT_EQ(found->detail, detail_for(*inside));
+    for (const std::string& finding : subtree.report.findings()) {
+      EXPECT_EQ(finding.find(outside.str()), std::string::npos) << finding;
+    }
+
+    auto full = sv::run_session(world.deploy, 5, world.commit_time, config, /*extended=*/true);
+    found = extended_of(full.report, 6);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->detail, detail_for(outside));
+  }
 }
 
 // ----------------------------------------------------------- ProofPathCache

@@ -74,7 +74,11 @@ std::vector<Token> lex(std::string_view src) {
       std::size_t delim_start = i + 2;
       std::size_t paren = src.find('(', delim_start);
       if (paren != std::string_view::npos) {
-        std::string close = ")" + std::string(src.substr(delim_start, paren - delim_start)) + "\"";
+        // Built by appending: `")" + std::string(...)` trips GCC 12's
+        // -Wrestrict false positive at -O3.
+        std::string close = ")";
+        close += src.substr(delim_start, paren - delim_start);
+        close += '"';
         std::size_t end = src.find(close, paren + 1);
         std::size_t stop = end == std::string_view::npos ? n : end + close.size();
         int start_line = line;
