@@ -338,6 +338,7 @@ void Mtt::apply_structural(const MttUpdate& update, std::vector<bgp::Prefix>& to
 }
 
 void Mtt::apply(const std::vector<MttUpdate>& updates) {
+  SPIDER_OBS_SPAN(apply_span, "core/mtt_apply");
   labels_done_ = false;
   std::vector<bgp::Prefix> touched;
   for (const MttUpdate& update : updates) apply_structural(update, touched);

@@ -1,7 +1,8 @@
 // Retained reference implementations for the differential test battery and
-// the "vs seed" benchmark baseline.  Nothing here is reached by production
-// code; tests/test_crypto_diff.cpp and the crypto bench scenario are the
-// only consumers.
+// the "vs seed" benchmark baseline.  They build into the spider_crypto_ref
+// library, which production targets never link: tests/test_crypto_diff.cpp,
+// the fuzz targets and spider_bench's crypto scenario are the only
+// consumers.
 //
 // Two independent engines, chosen so that a bug in the fast path would
 // have to be reproduced by structurally different code to go unnoticed:

@@ -40,9 +40,10 @@ struct RsaPrivateKey {  // spider-taint: secret
 RsaPrivateKey rsa_generate(std::size_t bits, util::SplitMix64& rng);
 
 /// EMSA-PKCS1-v1_5 encoding of SHA-512(message) into `em_len` bytes.
-/// Shared by sign/verify here and by the retained reference signer in
-/// crypto/bignum_ref.hpp, so the differential battery compares raw
-/// exponentiation engines rather than two copies of the padding code.
+/// Shared by sign/verify here and by the reference signer of the test-only
+/// spider_crypto_ref library (crypto/bignum_ref.hpp), so the differential
+/// battery compares raw exponentiation engines rather than two copies of
+/// the padding code.
 Bytes pkcs1_sha512_encode(ByteSpan message, std::size_t em_len);
 
 /// PKCS#1 v1.5 signature over SHA-512(message).

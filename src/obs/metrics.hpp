@@ -21,8 +21,8 @@
 // Compile-time kill switch: building with -DSPIDER_OBS_DISABLED (CMake
 // option SPIDER_OBS_DISABLED=ON) reduces every SPIDER_OBS_* macro to a
 // no-op with zero residue in the instrumented code, so the library can
-// prove its own overhead (bench_labeling with the switch on must be within
-// noise of an uninstrumented build).
+// prove its own overhead (spider_bench's labeling scenario with the switch
+// on must be within noise of an uninstrumented build).
 #pragma once
 
 #include <atomic>

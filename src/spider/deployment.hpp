@@ -36,7 +36,6 @@ struct DeploymentConfig {
   Time batch_window = 50'000;
   Time delta = 5 * netsim::kMicrosPerSecond;
   /// Forwarded to RecorderConfig (see recorder.hpp for the semantics).
-  bool incremental_commits = false;
   unsigned seed_epoch_rounds = 1;
 };
 

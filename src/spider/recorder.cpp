@@ -39,7 +39,7 @@ void Recorder::set_promise(bgp::AsNumber consumer, core::Promise promise) {
 }
 
 void Recorder::mark_dirty(const bgp::Prefix& prefix) {
-  if (config_.incremental_commits) dirty_prefixes_.insert(prefix);
+  if (live_tree_valid_) dirty_prefixes_.insert(prefix);
 }
 
 Time Recorder::local_now() const { return transport_.now(); }
@@ -506,17 +506,10 @@ Digest20 Recorder::commit_root(const crypto::Seed& seed) {
   util::ScopedCpu mtt_scope(mtt_meter_);
   const crypto::CommitmentPrf prf(seed);
 
-  if (!config_.incremental_commits) {
-    auto entries = build_mtt_entries(state_, classifier_, promises_, faults_.ignore_inputs);
-    core::Mtt tree = core::Mtt::build(std::move(entries), config_.num_classes);
-    tree.compute_labels(prf, config_.commit_threads);
-    return tree.root_label();
-  }
-
-  // Incremental path.  Global-parameter changes (ignore-input faults,
-  // promises) rewrite every prefix's bits, so they force a rebuild; prefix
-  // churn flows through apply().  Content-addressed PRF indexing makes
-  // every branch produce the identical root a fresh build would.
+  // Global-parameter changes (ignore-input faults, promises) rewrite every
+  // prefix's bits, so they force a rebuild; prefix churn flows through
+  // apply().  Content-addressed PRF indexing makes every branch produce
+  // the identical root a fresh build would.
   const bool params_changed = committed_ignored_ != faults_.ignore_inputs ||
                               committed_promises_version_ != promises_version_;
   if (!live_tree_valid_ || params_changed) {

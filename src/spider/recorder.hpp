@@ -68,23 +68,18 @@ struct RecorderConfig {
   /// Secret salt for per-commitment seeds (deterministic in tests).
   // spider-taint: secret
   std::string seed_salt = "spider-seed";
-  /// Keep the MTT alive across rounds and apply only changed prefixes
-  /// instead of rebuilding from the full mirror every commit.  The tree
-  /// structure always survives; labels additionally survive within a seed
-  /// epoch (below), making per-round cost O(churn · depth) rather than
-  /// O(table).  Roots are bit-identical to a full rebuild either way
-  /// (content-addressed PRF indexing), so checkpoint+replay reconstruction
-  /// needs no knowledge of which mode produced a commitment.
-  bool incremental_commits = false;
-  /// Rounds per commitment-seed epoch.  1 (default) derives a fresh seed
-  /// for every commitment timestamp — the paper's per-round unlinkability —
-  /// which limits incremental reuse to the tree structure (every label
-  /// still rehashes under the new seed).  Values > 1 share one seed across
-  /// a wall-clock epoch of seed_epoch_rounds * commit_interval, letting
-  /// within-epoch rounds relabel only dirty paths.  Documented privacy
-  /// tradeoff (DESIGN.md): an observer comparing two same-epoch
-  /// commitments learns which subtrees changed between them, though never
-  /// the bit values themselves.
+  /// Rounds per commitment-seed epoch.  The recorder keeps its MTT alive
+  /// across rounds and applies only the prefixes that changed; roots are
+  /// bit-identical to a fresh build (content-addressed PRF indexing), so
+  /// checkpoint+replay reconstruction rebuilds and compares.  1 (default)
+  /// derives a fresh seed for every commitment timestamp — the paper's
+  /// per-round unlinkability — which limits reuse to the tree structure
+  /// (every label still rehashes under the new seed).  Values > 1 share
+  /// one seed across a wall-clock epoch of seed_epoch_rounds *
+  /// commit_interval, letting within-epoch rounds relabel only dirty
+  /// paths.  Documented privacy tradeoff (DESIGN.md): an observer comparing
+  /// two same-epoch commitments learns which subtrees changed between
+  /// them, though never the bit values themselves.
   unsigned seed_epoch_rounds = 1;
 };
 
@@ -250,10 +245,12 @@ class Recorder {
   /// (or its epoch window when seed_epoch_rounds > 1), never of a counter,
   /// so checkpoint restore cannot replay an already-used seed.
   crypto::Seed commitment_seed(Time now) const;
-  /// Marks a prefix changed since the last commitment (incremental mode).
+  /// Marks a prefix changed since the last commitment (no-op while there
+  /// is no live tree: the next commitment rebuilds from the mirror anyway).
   void mark_dirty(const bgp::Prefix& prefix);
-  /// The MTT root over the current mirror, via the configured path (full
-  /// rebuild, or incremental apply against the live tree).
+  /// The MTT root over the current mirror: a fresh build on the first
+  /// commitment, after restore or after a global-parameter change, and an
+  /// apply of the dirty prefixes against the live tree otherwise.
   Digest20 commit_root(const crypto::Seed& seed);
 
   transport::Endpoint& transport_;
@@ -307,12 +304,11 @@ class Recorder {
   std::vector<std::string> alarms_;
   Faults faults_;
 
-  // Incremental commit state (config_.incremental_commits).  The live tree
-  // mirrors state_'s table between commits; dirty_prefixes_ accumulates the
-  // prefixes whose inputs/exports changed since the last commitment.  The
-  // committed_* snapshots detect global-parameter changes (ignore-input
-  // faults, promises) that invalidate every prefix's bits at once and force
-  // a full rebuild.
+  // Commit state.  The live tree mirrors state_'s table between commits;
+  // dirty_prefixes_ accumulates the prefixes whose inputs/exports changed
+  // since the last commitment.  The committed_* snapshots detect
+  // global-parameter changes (ignore-input faults, promises) that
+  // invalidate every prefix's bits at once and force a full rebuild.
   core::Mtt live_tree_;
   bool live_tree_valid_ = false;
   crypto::Seed live_seed_{};

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "netreview/auditor.hpp"
+#include "obs/metrics.hpp"
 #include "spider/checker.hpp"
 #include "spider/deployment.hpp"
 #include "spider/proof_generator.hpp"
@@ -70,6 +71,24 @@ struct World {
     return out;
   }
 };
+
+/// The root a from-scratch build over `rec`'s current mirror would commit
+/// to under `seed` — the oracle every recorder commitment must match.
+auto fresh_build_root(const sp::Recorder& rec, const spider::crypto::Seed& seed) {
+  auto entries = sp::build_mtt_entries(rec.state(), rec.classifier(), rec.promises(),
+                                       rec.faults().ignore_inputs);
+  auto fresh = sc::Mtt::build(std::move(entries), rec.config().num_classes);
+  fresh.compute_labels(spider::crypto::CommitmentPrf(seed));
+  return fresh.root_label();
+}
+
+#if !defined(SPIDER_OBS_DISABLED)
+std::uint64_t full_builds_counted() {
+  const auto snap = spider::obs::MetricsRegistry::instance().snapshot();
+  const auto it = snap.counters.find("spider/commit_full_builds");
+  return it == snap.counters.end() ? 0 : it->second;
+}
+#endif
 
 }  // namespace
 
@@ -394,26 +413,19 @@ TEST(RecorderRestore, RestoredRecorderDerivesFreshSeeds) {
       EXPECT_NE(logged.seed, record2.seed) << "seed reused from commitment at t=" << t;
     }
   }
+  // Restore dropped the live tree; the first commitment after it rebuilds
+  // over the restored mirror.
+  EXPECT_EQ(fresh_build_root(restored, record2.seed), record2.root);
 }
 
 TEST(IncrementalCommits, LiveTreeMatchesFullRebuildAcrossRounds) {
-  namespace scr = spider::crypto;
   sp::DeploymentConfig config = small_config();
-  config.incremental_commits = true;
   config.seed_epoch_rounds = 1000;  // keep one seed epoch across this test
   World world(config);
   auto& rec = world.deploy.recorder(5);
 
-  auto root_of_fresh_build = [&](const spider::crypto::Seed& seed) {
-    auto entries = sp::build_mtt_entries(rec.state(), rec.classifier(), rec.promises(),
-                                         rec.faults().ignore_inputs);
-    auto fresh = sc::Mtt::build(std::move(entries), config.num_classes);
-    fresh.compute_labels(scr::CommitmentPrf(seed));
-    return fresh.root_label();
-  };
-
   const auto record1 = world.commit_as5();
-  EXPECT_EQ(root_of_fresh_build(record1.seed), record1.root);
+  EXPECT_EQ(fresh_build_root(rec, record1.seed), record1.root);
 
   // More churn, then a second commitment inside the same seed epoch — the
   // dirty-path relabel (structure AND labels reused) must still match a
@@ -422,10 +434,10 @@ TEST(IncrementalCommits, LiveTreeMatchesFullRebuildAcrossRounds) {
   const auto record2 = world.commit_as5();
   EXPECT_GT(record2.timestamp, record1.timestamp);
   EXPECT_EQ(record2.seed, record1.seed);  // same epoch, by construction
-  EXPECT_EQ(root_of_fresh_build(record2.seed), record2.root);
+  EXPECT_EQ(fresh_build_root(rec, record2.seed), record2.root);
 
-  // Checkpoint + replay reconstruction is mode-oblivious: the full-rebuild
-  // path must reproduce the incrementally produced root (§6.5).
+  // Checkpoint + replay reconstruction rebuilds from scratch and must
+  // reproduce the incrementally produced root (§6.5).
   sp::ProofGenerator generator(rec);
   auto recon = generator.reconstruct(record2.timestamp);
   EXPECT_TRUE(recon.root_matches);
@@ -435,21 +447,53 @@ TEST(IncrementalCommits, SeedRotationAcrossEpochsStaysCorrect) {
   // Default epochs (one per round): consecutive commitments use different
   // seeds, the live tree's structure survives but every label rehashes, and
   // roots still match full rebuilds.
-  sp::DeploymentConfig config = small_config();
-  config.incremental_commits = true;
-  World world(config);
+  World world;
   auto& rec = world.deploy.recorder(5);
 
   const auto record1 = world.commit_as5();
   world.deploy.run_replay(world.trace, 70 * kSecond, 5 * kSecond);
   const auto record2 = world.commit_as5();
   EXPECT_NE(record2.seed, record1.seed);  // per-round unlinkability kept
+  EXPECT_EQ(fresh_build_root(rec, record2.seed), record2.root);
+}
 
-  auto entries = sp::build_mtt_entries(rec.state(), rec.classifier(), rec.promises(),
-                                       rec.faults().ignore_inputs);
-  auto fresh = sc::Mtt::build(std::move(entries), config.num_classes);
-  fresh.compute_labels(spider::crypto::CommitmentPrf(record2.seed));
-  EXPECT_EQ(fresh.root_label(), record2.root);
+TEST(IncrementalCommits, IgnoreInputsChangeForcesRebuild) {
+  // An ignore-input fault rewrites every prefix's bits at once, so the
+  // live tree cannot absorb it as churn: the next commitment rebuilds.
+  World world;
+  auto& rec = world.deploy.recorder(5);
+  (void)world.commit_as5();
+
+#if !defined(SPIDER_OBS_DISABLED)
+  const std::uint64_t builds_before = full_builds_counted();
+#endif
+  rec.faults().ignore_inputs = {2};
+  const auto record2 = world.commit_as5();
+  EXPECT_EQ(fresh_build_root(rec, record2.seed), record2.root);
+#if !defined(SPIDER_OBS_DISABLED)
+  EXPECT_EQ(full_builds_counted(), builds_before + 1);
+#endif
+}
+
+TEST(IncrementalCommits, PromiseChangeForcesRebuild) {
+  // Promises feed every prefix's bit vector too; a set_promise between
+  // commitments forces the same rebuild.  Withdrawing every total-order
+  // promise clears the bits they set, so the root really changes.
+  World world;
+  auto& rec = world.deploy.recorder(5);
+  (void)world.commit_as5();
+
+#if !defined(SPIDER_OBS_DISABLED)
+  const std::uint64_t builds_before = full_builds_counted();
+#endif
+  for (sb::AsNumber neighbor : world.deploy.neighbors_of(5)) {
+    rec.set_promise(neighbor, sc::Promise(rec.config().num_classes));
+  }
+  const auto record2 = world.commit_as5();
+  EXPECT_EQ(fresh_build_root(rec, record2.seed), record2.root);
+#if !defined(SPIDER_OBS_DISABLED)
+  EXPECT_EQ(full_builds_counted(), builds_before + 1);
+#endif
 }
 
 // ----------------------------------------------------------- state serde

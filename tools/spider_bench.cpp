@@ -1,13 +1,13 @@
-// spider_bench — unified JSON benchmark runner for the E1–E11 experiments.
+// spider_bench — the benchmark runner for the E1–E13 experiments and the
+// A1–A4 ablations.
 //
 // Each paper experiment is registered as a named scenario.  Running a
 // scenario resets the metrics registry, executes the experiment at the
 // configured scale, and emits one BENCH_<scenario>.json containing the
 // scenario config, the paper's reference numbers, the measured results,
 // and a full metrics snapshot (counters/gauges/histograms/spans) scoped
-// to that scenario.  The per-binary benches under bench/ remain the
-// human-readable deep dives; this runner produces the machine-readable
-// trajectory that CI archives and DESIGN.md explains how to diff.
+// to that scenario — the machine-readable trajectory that CI archives and
+// DESIGN.md explains how to diff.  Each scenario also prints its rows.
 //
 //   spider_bench --list
 //   spider_bench --all [--out-dir DIR] [--prefixes N] [--updates N]
@@ -237,6 +237,13 @@ json::Object run_proof(const benchutil::BenchScale& scale) {
   }
   double gen_seconds = gen_timer.seconds();
 
+  // Single-prefix promise ("my shortest route to Google"): one prefix's
+  // proof, opened for the best class only.
+  const bgp::Prefix single = *recon.state.all_prefixes().begin();
+  util::WallTimer single_timer;
+  const auto single_proof = recon.tree.prove(crypto::CommitmentPrf(recon.seed), single, {0});
+  double single_seconds = single_timer.seconds();
+
   auto proofs = generator.proofs_for_consumer(recon, 6);
   auto commit = deploy.recorder(6).received_commitments().at(5).at(record.timestamp);
   util::WallTimer check_timer;
@@ -255,6 +262,10 @@ json::Object run_proof(const benchutil::BenchScale& scale) {
   results.push_back(result_row("proof generation, 5 neighbors", gen_seconds, "s", "70.2"));
   results.push_back(result_row("average proof size per neighbor",
                                static_cast<double>(total_bytes / neighbors), "bytes", "449 MB"));
+  results.push_back(result_row("single-prefix proof generation", single_seconds, "s",
+                               "0.431 (after reconstruction)"));
+  results.push_back(result_row("single-prefix proof size",
+                               static_cast<double>(single_proof.byte_size()), "bytes", "2.1 kB"));
   results.push_back(result_row("proof checking, one neighbor", check_seconds, "s", "27 (8.6-40)"));
   results.push_back(result_row("root matches commitment", recon.root_matches ? 1 : 0, "bool", "1"));
   results.push_back(
@@ -269,7 +280,8 @@ json::Object run_proof(const benchutil::BenchScale& scale) {
 
 json::Object run_functionality(const benchutil::BenchScale& scale) {
   // E6 (§7.4): clean control run + three injected faults, each detected
-  // by the predicted neighbor.
+  // by the predicted neighbor.  Consumers check against the promise the
+  // elector made them.
   trace::TraceConfig tconfig;
   tconfig.num_prefixes = std::min<std::size_t>(scale.prefixes, 2000);
   tconfig.num_updates = 500;
@@ -300,7 +312,8 @@ json::Object run_functionality(const benchutil::BenchScale& scale) {
           commit, 5, window, generator.proofs_for_producer(recon, neighbor),
           deploy.recorder(neighbor).classifier());
       auto d2 = proto::Checker::check_consumer_proofs(
-          commit, 5, core::Promise::total_order(50), deploy.recorder(neighbor).my_imports_from(5),
+          commit, 5, deploy.recorder(5).promises().at(neighbor),
+          deploy.recorder(neighbor).my_imports_from(5),
           generator.proofs_for_consumer(recon, neighbor), neighbor,
           deploy.recorder(neighbor).classifier());
       if (d1 || d2) detected = true;
@@ -320,6 +333,16 @@ json::Object run_functionality(const benchutil::BenchScale& scale) {
                  [](proto::Fig5Deployment& deploy) {
                    deploy.speaker(5).inject_import_filter_fault(2);
                    deploy.recorder(5).faults().ignore_inputs = {2};
+                 },
+                 nullptr, results);
+  ok &= run_case("wrongly exporting detected", true,
+                 [](proto::Fig5Deployment& deploy) {
+                   // Routes of 3+ hops are promised never to be exported to AS 6.
+                   core::Promise never_long(50);
+                   never_long.add_preference(0, 1);
+                   for (core::ClassId cls = 2; cls < 49; ++cls) never_long.add_preference(49, cls);
+                   never_long.add_preference(1, 49);
+                   deploy.recorder(5).set_promise(6, never_long);
                  },
                  nullptr, results);
   ok &= run_case("tampered bit proof detected", true, nullptr,
@@ -368,7 +391,12 @@ json::Object run_computation(const benchutil::BenchScale& scale) {
   results.push_back(result_row("other (RIB maintenance)", other_cpu, "s", "105.75"));
   results.push_back(result_row("single-core utilization",
                                100.0 * total_cpu / (replay_minutes * 60.0), "%", "81.3"));
+  results.push_back(result_row("MTT share of recorder CPU",
+                               total_cpu > 0 ? 100.0 * mtt_cpu / total_cpu : 0, "%", "82"));
   results.push_back(result_row("NetReview-equivalent CPU", total_cpu - mtt_cpu, "s", "115.5"));
+  results.push_back(result_row("SPIDeR / NetReview CPU ratio",
+                               total_cpu > mtt_cpu ? total_cpu / (total_cpu - mtt_cpu) : 0, "x",
+                               "~5"));
   out["results"] = std::move(results);
   return out;
 }
@@ -467,8 +495,7 @@ json::Object run_storage(const benchutil::BenchScale& scale) {
 }
 
 json::Object run_crypto(const benchutil::BenchScale&) {
-  // E10: primitive costs (plain timed loops; the google-benchmark binary
-  // bench_crypto remains the precision instrument).
+  // E10: primitive costs (plain timed loops).
   json::Array results;
 
   {
@@ -612,6 +639,22 @@ json::Object run_crypto(const benchutil::BenchScale&) {
                                  ref_timer.seconds() * 1e6 / ref_iters, "us/op", "-"));
   }
   {
+    // The paper's sequential CSPRNG (§7.1): key schedule plus the 3072
+    // dropped keystream bytes, paid once per commitment seed.
+    const crypto::Seed seed = crypto::seed_from_string("rc4-bench");
+    const int iters = 2'000;
+    util::WallTimer timer;
+    volatile std::uint8_t sink = 0;  // keeps the setups observable
+    for (int i = 0; i < iters; ++i) {
+      crypto::Rc4Csprng csprng(seed.span());
+      std::uint8_t byte = 0;
+      csprng.fill(&byte, 1);
+      sink = static_cast<std::uint8_t>(sink ^ byte);
+    }
+    results.push_back(
+        result_row("RC4-drop[3072] CSPRNG setup", timer.seconds() * 1e6 / iters, "us/op", "-"));
+  }
+  {
     crypto::CommitmentPrf prf(crypto::seed_from_string("bench"));
     const int iters = 100'000;
     util::WallTimer timer;
@@ -668,9 +711,15 @@ json::Object run_crypto(const benchutil::BenchScale&) {
 }
 
 json::Object run_ablation(const benchutil::BenchScale& scale) {
-  // A1/A4 (DESIGN.md): indifference-class count sweep and the arithmetic
-  // consequence of digest truncation.  The standalone bench_ablation
-  // additionally sweeps batching windows and commit intervals.
+  // A1-A4 (DESIGN.md design-choice index):
+  //  A1 — indifference-class count k: MTT cost scales with N*k, so the
+  //       paper's k=50 is a deliberately conservative upper bound (§7.2).
+  //  A2 — signature batching window (the Nagle knob of §6.2): shorter
+  //       windows mean fresher announcements but more signatures.
+  //  A3 — commitment interval: the paper's 60 s vs the 15 s it argues is
+  //       achievable (§7.3).
+  //  A4 — digest truncation: 20-byte vs full 64-byte SHA-512 labels; the
+  //       per-hash cost is width-independent, so the savings are space.
   trace::TraceConfig config;
   config.num_prefixes = std::min<std::size_t>(scale.prefixes, 20'000);
   config.num_updates = 1;
@@ -678,7 +727,7 @@ json::Object run_ablation(const benchutil::BenchScale& scale) {
   auto tr = trace::generate(config);
 
   json::Array results;
-  for (std::uint32_t k : {5u, 50u}) {
+  for (std::uint32_t k : {5u, 10u, 25u, 50u, 100u}) {
     auto tree = core::Mtt::build(snapshot_entries(tr, k), k);
     crypto::CommitmentPrf prf(crypto::seed_from_string("ablate-k"));
     util::WallTimer timer;
@@ -693,6 +742,53 @@ json::Object run_ablation(const benchutil::BenchScale& scale) {
                                  static_cast<double>(proof.byte_size()), "bytes",
                                  k == 50 ? "~2.1 kB" : "-"));
   }
+
+  // A2/A3 run whole Figure-5 deployments, so they use a smaller table (at
+  // most 5,000 prefixes, updates pro-rata).
+  const std::size_t deploy_prefixes = std::min<std::size_t>(scale.prefixes, 5'000);
+  const benchutil::BenchScale deploy_scale{
+      deploy_prefixes, std::max<std::size_t>(100, deploy_prefixes * 3 / 25),
+      static_cast<double>(deploy_prefixes) / 391'028};
+  // Replays `dtr` through a Figure-5 deployment and hands AS 5's recorder
+  // to `report`.
+  auto replay_as5 = [](const trace::RouteViewsTrace& dtr, const proto::DeploymentConfig& dconfig,
+                       auto&& report) {
+    proto::Fig5Deployment deploy(dconfig);
+    auto start = deploy.run_setup(dtr, 60 * netsim::kMicrosPerSecond);
+    deploy.run_replay(dtr, start, 5 * netsim::kMicrosPerSecond);
+    report(deploy.recorder(5));
+  };
+  const auto window_trace = benchutil::bench_trace(deploy_scale, 120 * netsim::kMicrosPerSecond);
+  for (netsim::Time window : {netsim::Time{1'000}, netsim::Time{10'000}, netsim::Time{50'000},
+                              netsim::Time{200'000}, netsim::Time{1'000'000}}) {
+    proto::DeploymentConfig dconfig = deployment_config(false, false);
+    dconfig.batch_window = window;
+    replay_as5(window_trace, dconfig, [&](const proto::Recorder& recorder) {
+      const double mirrored = static_cast<double>(recorder.updates_mirrored());
+      results.push_back(result_row(
+          "signatures per update (window " + std::to_string(window / 1000) + " ms)",
+          mirrored > 0 ? static_cast<double>(recorder.signatures_performed()) / mirrored : 0,
+          "sig/update", window == 50'000 ? "~0.1 (3,913 sigs / 38,696 updates)" : "-"));
+    });
+  }
+  const auto interval_trace = benchutil::bench_trace(deploy_scale, 240 * netsim::kMicrosPerSecond);
+  for (netsim::Time interval :
+       {15 * netsim::kMicrosPerSecond, 30 * netsim::kMicrosPerSecond,
+        60 * netsim::kMicrosPerSecond, 120 * netsim::kMicrosPerSecond}) {
+    proto::DeploymentConfig dconfig = deployment_config(true, false);
+    dconfig.commit_interval = interval;
+    replay_as5(interval_trace, dconfig, [&](const proto::Recorder& recorder) {
+      const std::string suffix =
+          " (interval " + std::to_string(interval / netsim::kMicrosPerSecond) + " s)";
+      results.push_back(result_row("commitments" + suffix,
+                                   static_cast<double>(recorder.commitments_made()), "count", "-"));
+      results.push_back(result_row("MTT CPU" + suffix, recorder.mtt_cpu_seconds(), "s",
+                                   interval == 15 * netsim::kMicrosPerSecond
+                                       ? "'a commitment every 15 seconds' is affordable"
+                                       : "-"));
+    });
+  }
+
   const double paper_nodes = 22'333'767.0;
   results.push_back(result_row("label storage @ paper scale, 20 B digests", paper_nodes * 20,
                                "bytes", "~447 MB"));
@@ -702,6 +798,8 @@ json::Object run_ablation(const benchutil::BenchScale& scale) {
   json::Object out;
   json::Object cfg = scale_config(scale);
   cfg["prefixes"] = static_cast<std::uint64_t>(config.num_prefixes);
+  cfg["deployment_prefixes"] = static_cast<std::uint64_t>(deploy_scale.prefixes);
+  cfg["deployment_updates"] = static_cast<std::uint64_t>(deploy_scale.updates);
   out["config"] = std::move(cfg);
   out["results"] = std::move(results);
   return out;
@@ -1134,6 +1232,11 @@ int main(int argc, char** argv) {
     doc["paper_ref"] = s.paper_ref;
     doc["wall_seconds"] = wall;
     doc["config"] = std::move(body.at("config"));
+    for (const json::Value& row : body.at("results").as_array()) {
+      std::printf("   %-52s %14.6g %-11s paper: %s\n", row.find("label")->as_string().c_str(),
+                  row.find("measured")->as_number(), row.find("unit")->as_string().c_str(),
+                  row.find("paper")->as_string().c_str());
+    }
     doc["results"] = std::move(body.at("results"));
     doc["metrics"] = snap.to_json();
 

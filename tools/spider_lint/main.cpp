@@ -1,4 +1,4 @@
-// spider_lint CLI: walks src/, tools/ and bench/ under --root, runs the
+// spider_lint CLI: walks src/ and tools/ under --root, runs the
 // per-file R1-R10 matchers and the model extraction in parallel (one
 // task per file on a util::ThreadPool), then the cross-file passes (R4
 // registry check, R11-R14 taint analysis) serially, and prints
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
 
   // ---- collect the file set --------------------------------------------
   std::vector<fs::path> files;
-  for (const char* dir : {"src", "tools", "bench"}) {
+  for (const char* dir : {"src", "tools"}) {
     fs::path base = root / dir;
     if (!fs::is_directory(base)) continue;
     for (const auto& entry : fs::recursive_directory_iterator(base)) {

@@ -102,12 +102,6 @@ struct HostedRecorder {
     rc.num_classes = opt.num_classes;
     rc.commit_interval = opt.commit_interval;
     rc.batch_window = opt.batch_window;
-    // Live ingest leans on dirty-prefix tracking: a periodic commit costs
-    // O(changed prefixes), not O(table), so commitments stay off the
-    // ingest path.  Replay (the proofgen's shadow recorder) keeps the
-    // default full rebuild — the incremental/full differential is already
-    // covered by test_mtt_incremental, and root_matches re-checks it here.
-    rc.incremental_commits = true;
     recorder = std::make_unique<proto::Recorder>(endpoint, rc, *signer, keys, *speaker);
 
     for (std::uint32_t neighbor : opt.neighbors) {
