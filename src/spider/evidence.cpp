@@ -75,12 +75,13 @@ EvidenceRefutation EvidenceRefutation::decode(util::ByteSpan data) {
 
 namespace {
 
-/// Validates an ACK envelope: signed by `expected_signer` and covering the
-/// digest of `batch_envelope`.
+/// Validates an ACK: a batch from `expected_signer` that checks and
+/// carries an ACK part covering the digest of `batch_envelope` (ACKs ride
+/// ordinary batches, beside announces and withdraws).
 bool ack_matches(const core::SignedEnvelope& ack, std::uint32_t expected_signer,
                  const core::SignedEnvelope& batch_envelope, const core::KeyRegistry& keys) {
   if (ack.signer != expected_signer) return false;
-  if (!core::check_envelope(ack, keys)) return false;
+  if (!check_batch(ack, keys)) return false;
   try {
     SpiderBatch batch = SpiderBatch::decode(ack.payload);
     for (const SpiderBatch::Part& part : batch.parts) {

@@ -35,7 +35,7 @@ struct QuotedMessage {
 /// "Alice was exporting `route` to Bob at time T."
 struct ImportEvidence {
   QuotedMessage announce;          // Alice-signed ANNOUNCE, timestamp t' < T
-  core::SignedEnvelope ack;        // Bob-signed ACK of the announce's batch
+  core::SignedEnvelope ack;        // Bob's batch carrying the ACK of the announce's batch
 
   Bytes encode() const;
   static ImportEvidence decode(util::ByteSpan data);

@@ -104,6 +104,8 @@ class MessageLog {
   std::vector<const LogEntry*> entries_between(Time after, Time until) const;
 
   const std::vector<LogEntry>& entries() const { return entries_; }
+  /// Sequence number the next appended entry gets (survives pruning).
+  std::uint64_t next_seq() const { return next_seq_; }
 
   /// Discards entries, checkpoints and commitments older than `cutoff`
   /// (the retention time R of §6.5).  The chain stays verifiable from the

@@ -1,5 +1,8 @@
 #include "spider/messages.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace spider::proto {
 
 namespace {
@@ -138,13 +141,128 @@ SpiderBatch SpiderBatch::decode(ByteSpan data) {
   return batch;
 }
 
+Bytes WindowProof::encode() const {
+  util::ByteWriter w;
+  w.u8(slot);
+  w.u8(static_cast<std::uint8_t>(siblings.size()));
+  // The recipient of this slot needs its salt to recompute the leaf; every
+  // other neighbour sees only salted hashes.
+  // spider-taint: declassify(a salt goes only to its own slot's recipient)
+  w.raw(ByteSpan{salt.data(), salt.size()});
+  for (const Digest20& sibling : siblings) w.digest(sibling);
+  w.raw(root_signature);
+  return w.take();
+}
+
+WindowProof WindowProof::decode(ByteSpan data) {
+  util::ByteReader r(data);
+  WindowProof proof;
+  proof.slot = r.u8();
+  const std::uint8_t depth = r.u8();
+  if (depth > kMaxWindowDepth) throw util::DecodeError("WindowProof: depth too large");
+  if ((std::size_t{proof.slot} >> depth) != 0) {
+    throw util::DecodeError("WindowProof: slot outside window");
+  }
+  const Bytes salt = r.raw(kWindowSaltBytes);
+  std::copy(salt.begin(), salt.end(), proof.salt.begin());
+  for (std::uint8_t d = 0; d < depth; ++d) proof.siblings.push_back(r.digest());
+  proof.root_signature = r.raw(r.remaining());
+  return proof;
+}
+
+namespace {
+
+constexpr std::uint8_t kLeafTag = 0x00;
+constexpr std::uint8_t kInnerTag = 0x01;
+
+Digest20 window_node(const Digest20& left, const Digest20& right) {
+  return crypto::digest20_concat({ByteSpan{&kInnerTag, 1}, ByteSpan{left.data(), left.size()},
+                                  ByteSpan{right.data(), right.size()}});
+}
+
+/// The signed message: "spider-window" ‖ u32 signer ‖ root.
+Bytes window_root_message(std::uint32_t signer, const Digest20& root) {
+  util::ByteWriter w;
+  w.raw(util::str_bytes("spider-window"));
+  w.u32(signer);
+  w.digest(root);
+  return w.take();
+}
+
+}  // namespace
+
+Digest20 window_leaf(const WindowSalt& salt, ByteSpan payload) {
+  return crypto::digest20_concat(
+      {ByteSpan{&kLeafTag, 1}, ByteSpan{salt.data(), salt.size()}, payload});
+}
+
+std::vector<SignedEnvelope> sign_window(bgp::AsNumber asn, const crypto::Signer& signer,
+                                        std::vector<WindowSlot> slots) {
+  const std::size_t width = slots.size();
+  if (width == 0 || width > kMaxWindowSlots || (width & (width - 1)) != 0) {
+    throw std::invalid_argument("sign_window: width must be a power of two <= 256");
+  }
+  // levels[0] holds the leaves; levels[d + 1][i] joins levels[d][2i, 2i+1].
+  std::vector<std::vector<Digest20>> levels(1);
+  levels[0].reserve(width);
+  for (const WindowSlot& slot : slots) {
+    levels[0].push_back(slot.payload ? window_leaf(slot.salt, *slot.payload) : slot.dummy_leaf);
+  }
+  while (levels.back().size() > 1) {
+    const std::vector<Digest20>& below = levels.back();
+    std::vector<Digest20> above;
+    above.reserve(below.size() / 2);
+    for (std::size_t i = 0; i < below.size(); i += 2) {
+      above.push_back(window_node(below[i], below[i + 1]));
+    }
+    levels.push_back(std::move(above));
+  }
+  const Bytes root_signature = signer.sign(window_root_message(asn, levels.back().front()));
+
+  std::vector<SignedEnvelope> out;
+  for (std::size_t index = 0; index < width; ++index) {
+    if (!slots[index].payload) continue;
+    WindowProof proof;
+    proof.slot = static_cast<std::uint8_t>(index);
+    proof.salt = slots[index].salt;
+    for (std::size_t d = 0; d + 1 < levels.size(); ++d) {
+      proof.siblings.push_back(levels[d][(index >> d) ^ 1]);
+    }
+    proof.root_signature = root_signature;
+    SignedEnvelope envelope;
+    envelope.signer = asn;
+    envelope.payload = std::move(*slots[index].payload);
+    envelope.signature = proof.encode();
+    out.push_back(std::move(envelope));
+  }
+  return out;
+}
+
 SignedEnvelope sign_batch(bgp::AsNumber asn, const crypto::Signer& signer,
                           const SpiderBatch& batch) {
-  return core::sign_envelope(asn, signer, batch.encode());
+  std::vector<WindowSlot> slots(1);
+  slots[0].payload = batch.encode();
+  return std::move(sign_window(asn, signer, std::move(slots)).front());
+}
+
+bool check_batch(const SignedEnvelope& envelope, const core::KeyRegistry& keys) {
+  WindowProof proof;
+  try {
+    proof = WindowProof::decode(envelope.signature);
+  } catch (const util::DecodeError&) {
+    return false;
+  }
+  Digest20 node = window_leaf(proof.salt, envelope.payload);
+  for (std::size_t d = 0; d < proof.siblings.size(); ++d) {
+    node = ((proof.slot >> d) & 1) != 0 ? window_node(proof.siblings[d], node)
+                                        : window_node(node, proof.siblings[d]);
+  }
+  return keys.verify(envelope.signer, window_root_message(envelope.signer, node),
+                     proof.root_signature);
 }
 
 std::optional<Bytes> MessageQuote::extract(const core::KeyRegistry& keys) const {
-  if (!core::check_envelope(batch, keys)) return std::nullopt;
+  if (!check_batch(batch, keys)) return std::nullopt;
   try {
     SpiderBatch decoded = SpiderBatch::decode(batch.payload);
     if (part >= decoded.parts.size()) return std::nullopt;

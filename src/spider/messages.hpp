@@ -8,11 +8,15 @@
 // exported route itself.  Withdrawals are σ_E(WITHDRAW, t, C, p); every
 // message is acknowledged with σ_R(ACK, t, C, H(m)).
 //
-// To bound signing cost during bursts, recorders sign *batches* of messages
-// with a single signature (§6.2, Nagle-style batching); the batch is the
-// signed envelope, individual messages are its parts.
+// To bound signing cost, recorders batch messages Nagle-style (§6.2): the
+// batch is the envelope, individual messages (ACKs included) are its parts.
+// One flush sends one batch to each neighbour with traffic, and all of them
+// share a single signature: the recorder signs a salted Merkle root over
+// its neighbour slots, and each envelope carries its WindowProof (slot,
+// salt, sibling path, root signature) in place of a per-batch signature.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -40,7 +44,7 @@ enum class SpiderMsgType : std::uint8_t {
 /// One route announcement inside a batch.
 ///
 /// The paper's ANNOUNCE carries σ_P(r') inline.  Because our transport
-/// signatures are batched (one signature per SpiderBatch), quoting a single
+/// signatures are batched (one signature per flush window), quoting a single
 /// upstream message means quoting its whole signed batch; inlining that in
 /// every forwarded announcement would compound along the AS path.  We
 /// therefore inline only a *reference* — the digest of the producer's
@@ -71,8 +75,8 @@ struct MessageQuote {
   SignedEnvelope batch;    // the signed SpiderBatch envelope
   std::uint32_t part = 0;  // index of the quoted part
 
-  /// Validates the batch signature and returns the quoted part's bytes;
-  /// nullopt when the signature or index is invalid.
+  /// Validates the batch (check_batch) and returns the quoted part's
+  /// bytes; nullopt when the batch or index is invalid.
   std::optional<Bytes> extract(const core::KeyRegistry& keys) const;
 
   Bytes encode() const;
@@ -110,7 +114,7 @@ struct SpiderCommit {
   static SpiderCommit decode(ByteSpan data);
 };
 
-/// A batch of messages signed as one unit.  `parts` holds the encodings of
+/// The messages for one neighbour in one flush.  `parts` holds the encodings of
 /// SpiderAnnounce / SpiderWithdraw / SpiderCommit / SpiderAck messages,
 /// each tagged with its type.
 struct SpiderBatch {
@@ -124,8 +128,62 @@ struct SpiderBatch {
   static SpiderBatch decode(ByteSpan data);
 };
 
-/// Signs a batch with the AS's key.
+// ------------------------------------------------------- flush windows
+
+/// Bytes of per-leaf salt in a flush-window tree.
+inline constexpr std::size_t kWindowSaltBytes = 16;
+/// Slot and depth travel as u8: a window has at most 2^8 slots.
+inline constexpr std::size_t kMaxWindowDepth = 8;
+inline constexpr std::size_t kMaxWindowSlots = std::size_t{1} << kMaxWindowDepth;
+
+using WindowSalt = std::array<std::uint8_t, kWindowSaltBytes>;
+
+/// A batch's membership proof in its sender's flush window, carried in the
+/// batch envelope's signature bytes:
+///   u8 slot ‖ u8 depth ‖ salt ‖ depth × digest sibling ‖ root signature
+/// (the root signature runs to the end of the field).  Leaves are
+/// H(0x00 ‖ salt ‖ batch payload), inner nodes H(0x01 ‖ left ‖ right), and
+/// the root signature covers "spider-window" ‖ u32 signer ‖ root.  The
+/// salt keeps a neighbour from confirming a guessed batch for another
+/// neighbour against the sibling hash it receives.
+struct WindowProof {
+  std::uint8_t slot = 0;
+  // spider-taint: secret
+  WindowSalt salt{};
+  /// Sibling hashes from the leaf up; the depth is siblings.size().
+  std::vector<Digest20> siblings;
+  Bytes root_signature;
+
+  Bytes encode() const;
+  static WindowProof decode(ByteSpan data);
+};
+
+/// Leaf of a flush-window tree: H(0x00 ‖ salt ‖ payload).
+Digest20 window_leaf(const WindowSalt& salt, ByteSpan payload);
+
+/// One slot of a flush window.  A filled slot carries its batch payload;
+/// an empty one contributes `dummy_leaf`, a PRF value, so the tree never
+/// shows which neighbours got traffic.
+struct WindowSlot {
+  // spider-taint: secret
+  WindowSalt salt{};
+  std::optional<Bytes> payload;
+  Digest20 dummy_leaf{};
+};
+
+/// Signs one flush window with a single signature over its root.
+/// `slots.size()` must be a power of two no larger than kMaxWindowSlots.
+/// Returns one envelope per filled slot, in slot order.
+std::vector<SignedEnvelope> sign_window(bgp::AsNumber asn, const crypto::Signer& signer,
+                                        std::vector<WindowSlot> slots);
+
+/// Signs a lone batch: the width-1 window (no siblings, zero salt).
 SignedEnvelope sign_batch(bgp::AsNumber asn, const crypto::Signer& signer,
                           const SpiderBatch& batch);
+
+/// Checks a batch envelope: its WindowProof leads from the payload to a
+/// root that `envelope.signer` signed.  Never throws; malformed proofs and
+/// unknown signers check false.
+bool check_batch(const SignedEnvelope& envelope, const core::KeyRegistry& keys);
 
 }  // namespace spider::proto

@@ -1,5 +1,6 @@
 #include "spider/recorder.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -17,19 +18,34 @@ Recorder::Recorder(transport::Endpoint& transport, RecorderConfig config,
       signer_(signer),
       keys_(keys),
       speaker_(speaker),
-      classifier_(config_.num_classes) {
+      classifier_(config_.num_classes),
+      window_key_(crypto::seed_from_string(config_.seed_salt + "-" +
+                                           std::to_string(config_.asn) + "-window")) {
   transport_.set_frame_handler(
       [this](transport::PeerId from, util::ByteSpan frame) { handle_frame(from, frame); });
 }
 
-bool announce_timely(Time announce_timestamp, Time local_arrival, const RecorderConfig& config) {
-  const Time age = local_arrival - announce_timestamp;
-  const Time late_budget =
-      config.max_clock_skew + config.ack_deadline * (config.max_retransmits + 1);
-  return age >= -config.max_clock_skew && age <= late_budget;
+namespace {
+
+/// How late a message may legitimately arrive: clock skew plus the full
+/// retransmit budget.
+Time late_budget(const RecorderConfig& config) {
+  return config.max_clock_skew + config.ack_deadline * (config.max_retransmits + 1);
 }
 
-void Recorder::add_neighbor(bgp::AsNumber neighbor_as) { neighbors_.insert(neighbor_as); }
+}  // namespace
+
+bool announce_timely(Time announce_timestamp, Time local_arrival, const RecorderConfig& config) {
+  const Time age = local_arrival - announce_timestamp;
+  return age >= -config.max_clock_skew && age <= late_budget(config);
+}
+
+void Recorder::add_neighbor(bgp::AsNumber neighbor_as) {
+  if (neighbors_.count(neighbor_as) == 0 && neighbors_.size() == kMaxWindowSlots) {
+    throw std::length_error("Recorder: a flush window has at most 256 neighbour slots");
+  }
+  neighbors_.insert(neighbor_as);
+}
 
 void Recorder::set_promise(bgp::AsNumber consumer, core::Promise promise) {
   promises_.insert_or_assign(consumer, std::move(promise));
@@ -137,6 +153,11 @@ void Recorder::restore_from(MessageLog log) {
     }
   }
 
+  // Window salts are keyed on the flush sequence number: continuing from
+  // the log's next entry number keeps every (time, seq) pair fresh, since
+  // each earlier flush logged at least one entry.
+  flush_seq_ = log_.next_seq();
+
   // The live tree (if any) described the pre-restore mirror; drop it.
   live_tree_valid_ = false;
   dirty_prefixes_.clear();
@@ -159,18 +180,12 @@ void Recorder::schedule_flush() {
   });
 }
 
-core::SignedEnvelope Recorder::sign_now(const SpiderBatch& batch) {
-  util::ScopedCpu scope(sign_meter_);
-  ++signatures_;
-  SPIDER_OBS_COUNT("spider/batches_signed", 1);
-  return sign_batch(config_.asn, signer_, batch);
-}
-
 bool Recorder::verify_now(const core::SignedEnvelope& envelope) {
   util::ScopedCpu scope(sign_meter_);
+  SPIDER_OBS_SPAN(verify_span, "spider/batch_verify");
   ++verifications_;
   SPIDER_OBS_COUNT("spider/batches_verified", 1);
-  return core::check_envelope(envelope, keys_);
+  return check_batch(envelope, keys_);
 }
 
 // ------------------------------------------------------- speaker observer
@@ -284,25 +299,82 @@ void Recorder::queue_part(bgp::AsNumber neighbor, SpiderMsgType type, Bytes body
   schedule_flush();
 }
 
+Digest20 Recorder::window_prf(char domain, Time at, std::uint64_t seq,
+                              std::uint32_t slot) const {
+  util::ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(domain));
+  w.i64(at);
+  w.u64(seq);
+  w.u32(slot);
+  const Bytes input = w.take();
+  return crypto::digest20_concat({window_key_.span(), input});
+}
+
 void Recorder::flush_batches() {
   util::ScopedCpu scope(total_meter_);
-  for (auto& [neighbor, parts] : pending_parts_) {
-    if (parts.empty()) continue;
-    SpiderBatch batch;
-    batch.parts = std::move(parts);
-    parts.clear();
+  // One window over all neighbour slots: slot i is the i-th neighbour in
+  // AS order, and the width is the next power of two, so a proof's depth
+  // says nothing about how many neighbours got traffic in this flush.
+  std::size_t width = 1;
+  while (width < neighbors_.size()) width <<= 1;
+  std::vector<WindowSlot> slots(width);
+  struct Flushed {
+    bgp::AsNumber neighbor;
+    bool needs_ack;  // carries a part other than an ACK
+  };
+  std::vector<Flushed> flushed;
+  std::uint32_t slot = 0;
+  for (bgp::AsNumber neighbor : neighbors_) {
+    auto it = pending_parts_.find(neighbor);
+    if (it != pending_parts_.end() && !it->second.empty()) {
+      SpiderBatch batch;
+      batch.parts = std::move(it->second);
+      it->second.clear();
+      const bool needs_ack = std::any_of(
+          batch.parts.begin(), batch.parts.end(),
+          [](const SpiderBatch::Part& part) { return part.type != SpiderMsgType::kAck; });
+      slots[slot].payload = batch.encode();
+      flushed.push_back({neighbor, needs_ack});
+    }
+    ++slot;
+  }
+  if (flushed.empty()) return;
 
-    core::SignedEnvelope envelope = sign_now(batch);
-    Bytes wire = envelope.encode();
+  const Time now = local_now();
+  const std::uint64_t seq = flush_seq_++;
+  for (std::uint32_t i = 0; i < width; ++i) {
+    if (slots[i].payload) {
+      const Digest20 salt = window_prf('s', now, seq, i);
+      std::copy_n(salt.begin(), kWindowSaltBytes, slots[i].salt.begin());
+    } else {
+      slots[i].dummy_leaf = window_prf('d', now, seq, i);
+    }
+  }
+  std::vector<core::SignedEnvelope> envelopes;
+  {
+    util::ScopedCpu sign_scope(sign_meter_);
+    SPIDER_OBS_SPAN(sign_span, "spider/batch_sign");
+    envelopes = sign_window(config_.asn, signer_, std::move(slots));
+  }
+  ++signatures_;
+  SPIDER_OBS_COUNT("spider/batches_signed", 1);
+
+  for (std::size_t i = 0; i < flushed.size(); ++i) {
+    const bgp::AsNumber neighbor = flushed[i].neighbor;
+    Bytes wire = envelopes[i].encode();
     SPIDER_OBS_COUNT("spider/batches_flushed", 1);
     SPIDER_OBS_COUNT("spider/wire_bytes_out", wire.size());
-    log_.append(local_now(), LogDirection::kSent, neighbor, wire,
-                static_cast<std::uint32_t>(envelope.signature.size()));
-    Digest20 digest = envelope.digest();
-    awaiting_ack_.push_back({digest, local_now(), neighbor, wire, 1});
-
+    log_.append(now, LogDirection::kSent, neighbor, wire,
+                static_cast<std::uint32_t>(envelopes[i].signature.size()));
+    // A pure-ACK batch is never ACKed in turn (PROTOCOL.md), so it is
+    // neither awaited nor retransmitted: a lost one is recovered by the
+    // peer's own retransmission, which this recorder re-ACKs.
+    if (flushed[i].needs_ack) {
+      const Digest20 digest = crypto::digest20(wire);
+      awaiting_ack_.push_back({digest, now, neighbor, wire, 1});
+      schedule_ack_check(digest);
+    }
     if (transport_.send(neighbor, wire)) bytes_sent_ += wire.size();
-    schedule_ack_check(digest);
   }
 }
 
@@ -360,7 +432,7 @@ void Recorder::process_batch(bgp::AsNumber from, const core::SignedEnvelope& env
     // re-apply — that would regress the mirror — but repeat the ACK when
     // the original processing sent one.
     SPIDER_OBS_COUNT("spider/duplicate_batches", 1);
-    if (seen_it->second) send_ack(from, envelope);
+    if (seen_it->second.acked) send_ack(from, batch_digest);
     return;
   }
 
@@ -447,7 +519,7 @@ void Recorder::process_batch(bgp::AsNumber from, const core::SignedEnvelope& env
             break;
           }
           log_once();
-          satisfied_acks_.insert(it->digest);
+          satisfied_acks_.emplace(it->digest, local_now());
           awaiting_ack_.erase(it);
           break;
         }
@@ -461,24 +533,27 @@ void Recorder::process_batch(bgp::AsNumber from, const core::SignedEnvelope& env
     }
   }
 
-  seen_batches_.emplace(batch_digest, needs_ack);
-  if (needs_ack) send_ack(from, envelope);
+  seen_batches_.emplace(batch_digest, SeenBatch{needs_ack, local_now()});
+  if (needs_ack) send_ack(from, batch_digest);
 }
 
-void Recorder::send_ack(bgp::AsNumber to, const core::SignedEnvelope& batch_envelope) {
+void Recorder::send_ack(bgp::AsNumber to, const Digest20& batch_digest) {
+  // The ACK rides the next batch to `to`, under that flush's one signature.
   SpiderAck ack;
   ack.timestamp = local_now();
   ack.from_as = config_.asn;
   ack.to_as = to;
-  ack.message_digest = batch_envelope.digest();
+  ack.message_digest = batch_digest;
+  queue_part(to, SpiderMsgType::kAck, ack.encode());
+}
 
-  SpiderBatch batch;
-  batch.parts.push_back({SpiderMsgType::kAck, ack.encode()});
-  core::SignedEnvelope envelope = sign_now(batch);
-  Bytes wire = envelope.encode();
-  log_.append(local_now(), LogDirection::kSent, to, wire,
-              static_cast<std::uint32_t>(envelope.signature.size()));
-  if (transport_.send(to, wire)) bytes_sent_ += wire.size();
+void Recorder::prune_dedup_state() {
+  // A duplicate batch or ACK arrives within the retransmit budget of the
+  // original (the sender gives up after it), so older entries can never
+  // match again.
+  const Time cutoff = local_now() - late_budget(config_);
+  std::erase_if(seen_batches_, [&](const auto& entry) { return entry.second.at < cutoff; });
+  std::erase_if(satisfied_acks_, [&](const auto& entry) { return entry.second < cutoff; });
 }
 
 // ------------------------------------------------------------ commitment
@@ -547,6 +622,7 @@ const CommitmentRecord& Recorder::make_commitment() {
   util::ScopedCpu scope(total_meter_);
   SPIDER_OBS_SPAN(commit_span, "spider/commitment");
   cross_check_mirror();
+  prune_dedup_state();
 
   const Time now = local_now();
   CommitmentRecord record;

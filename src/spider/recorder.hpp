@@ -4,10 +4,12 @@
 //   * mirrors the speaker's routing state by observing the BGP message
 //     flow (the paper's iBGP/eBGP tap);
 //   * re-announces every UPDATE to the recorders of adjacent ASes with
-//     signatures, batching messages Nagle-style so bursts share one
-//     signature;
-//   * acknowledges every signed batch it receives and raises an alarm when
-//     an expected ACK never arrives or mirrored state disagrees with BGP;
+//     signatures, batching messages Nagle-style; each flush signs once,
+//     over a salted Merkle root of its per-neighbour batches;
+//   * acknowledges every batch it receives that carries more than ACKs
+//     (the ACK rides the next batch to that neighbour) and raises an alarm
+//     when an expected ACK never arrives or mirrored state disagrees with
+//     BGP;
 //   * appends everything to a tamper-evident log with periodic state
 //     checkpoints; and
 //   * periodically builds the MTT over its mirrored state and broadcasts
@@ -44,7 +46,8 @@ struct RecorderConfig {
   std::uint32_t num_classes = 50;
   /// Commitments are generated every commit_interval (paper: 60 s).
   Time commit_interval = 60 * netsim::kMicrosPerSecond;
-  /// Outgoing messages are batched and signed once per window (§6.2).
+  /// Outgoing messages are batched and flushed once per window (§6.2);
+  /// one flush signs once for all neighbours.
   Time batch_window = 50'000;  // 50 ms
   /// ACKs must arrive within this deadline or the batch is retransmitted;
   /// after max_retransmits the recorder raises an alarm (T_max of §6.2:
@@ -65,7 +68,8 @@ struct RecorderConfig {
   Time delta = 5 * netsim::kMicrosPerSecond;
   /// Labeling threads (c of §7.1).
   unsigned commit_threads = 1;
-  /// Secret salt for per-commitment seeds (deterministic in tests).
+  /// Secret salt for per-commitment seeds and the flush-window salt key
+  /// (deterministic in tests).
   // spider-taint: secret
   std::string seed_salt = "spider-seed";
   /// Rounds per commitment-seed epoch.  The recorder keeps its MTT alive
@@ -125,7 +129,8 @@ class Recorder {
            const core::KeyRegistry& keys, bgp::Speaker& speaker);
 
   /// Declares that `neighbor_as` runs a SPIDeR recorder we exchange signed
-  /// batches with.
+  /// batches with.  Each neighbour owns one slot of every flush window,
+  /// so a recorder has at most kMaxWindowSlots neighbours.
   void add_neighbor(bgp::AsNumber neighbor_as);
 
   /// The promise made to a consumer neighbor (the ≤_j of VPref).
@@ -160,7 +165,8 @@ class Recorder {
   /// returns the log record.  Normally driven by the commit timer.
   const CommitmentRecord& make_commitment();
 
-  /// Flushes pending outgoing batches immediately (normally timer-driven).
+  /// Flushes pending outgoing batches immediately (normally timer-driven):
+  /// one batch per neighbour with pending parts, all under one signature.
   void flush_batches();
 
   // ------------------------------------------------------------- accessors
@@ -208,10 +214,12 @@ class Recorder {
   std::optional<MessageQuote> find_withdraw_quote(LogDirection direction, bgp::AsNumber peer,
                                                   const bgp::Prefix& prefix, Time until) const;
 
-  /// The peer's ACK covering the batch with this digest, if logged.
+  /// The logged batch from the peer carrying the ACK for the batch with
+  /// this digest (ACKs ride ordinary batches), if any.
   std::optional<core::SignedEnvelope> find_ack_for(const Digest20& batch_digest) const;
 
   // ----------------------------------------------------------- statistics
+  /// One per flush window.
   std::uint64_t signatures_performed() const { return signatures_; }
   std::uint64_t verifications_performed() const { return verifications_; }
   std::uint64_t updates_mirrored() const { return updates_mirrored_; }
@@ -232,12 +240,17 @@ class Recorder {
   void schedule_flush();
   void schedule_commit();
   void process_batch(bgp::AsNumber from, const core::SignedEnvelope& envelope);
-  void send_ack(bgp::AsNumber to, const core::SignedEnvelope& batch_envelope);
+  /// Queues the ACK of a received batch for the next flush to `to`.
+  void send_ack(bgp::AsNumber to, const Digest20& batch_digest);
+  /// Drops dedup entries older than the announce_timely late budget.
+  void prune_dedup_state();
   void cross_check_mirror();
   void alarm(std::string what);
 
-  core::SignedEnvelope sign_now(const SpiderBatch& batch);
   bool verify_now(const core::SignedEnvelope& envelope);
+  /// Window PRF keyed by window_key_: 's' derives slot salts, 'd' the
+  /// dummy leaves of empty slots, at (flush time, flush seq, slot).
+  Digest20 window_prf(char domain, Time at, std::uint64_t seq, std::uint32_t slot) const;
 
   Time local_now() const;
 
@@ -279,26 +292,41 @@ class Recorder {
     int attempts = 0;  // transmissions so far
   };
   std::vector<PendingAck> awaiting_ack_;
-  /// Digests of sent batches whose ACK already arrived.  A second ACK for
-  /// one of these is benign: when the network delays our batch past the
-  /// ACK deadline we retransmit, the neighbor's dedup re-ACKs, and both
-  /// ACKs eventually land (likewise when the network duplicates a batch).
-  /// Only an ACK matching neither set is an actual protocol violation.
-  std::set<Digest20> satisfied_acks_;
+  /// Digests of sent batches whose ACK already arrived, with the arrival
+  /// time.  A second ACK for one of these is benign: when the network
+  /// delays our batch past the ACK deadline we retransmit, the neighbor's
+  /// dedup re-ACKs, and both ACKs eventually land (likewise when the
+  /// network duplicates a batch).  Only an ACK matching neither set is an
+  /// actual protocol violation.  Pruned at each commitment.
+  std::map<Digest20, Time> satisfied_acks_;
   void schedule_ack_check(const Digest20& digest);
   std::uint64_t retransmissions_ = 0;
 
  public:
   std::uint64_t retransmissions() const { return retransmissions_; }
+  /// Entries held for duplicate detection (seen batches + satisfied ACKs).
+  std::size_t dedup_entries() const { return seen_batches_.size() + satisfied_acks_.size(); }
 
  private:
 
-  /// Digest of every batch already processed, mapped to whether it was
-  /// ACKed.  A retransmission (our ACK was lost) or a network duplicate
-  /// must not be re-applied — replaying old announces would regress the
-  /// mirror — but a previously ACKed batch is re-ACKed so the sender's
-  /// retransmit loop terminates.
-  std::map<Digest20, bool> seen_batches_;
+  /// Digest of every batch processed within the retransmit budget, with
+  /// whether it was ACKed and when it arrived.  A retransmission (our ACK
+  /// was lost) or a network duplicate must not be re-applied — replaying
+  /// old announces would regress the mirror — but a previously ACKed
+  /// batch is re-ACKed so the sender's retransmit loop terminates.
+  /// Pruned at each commitment.
+  struct SeenBatch {
+    bool acked;
+    Time at;
+  };
+  std::map<Digest20, SeenBatch> seen_batches_;
+
+  /// Key of the window PRF; the salts it derives are never reused, since
+  /// (flush time, flush seq) is unique and flush_seq_ resumes past the log
+  /// on restore.
+  // spider-taint: secret
+  crypto::Seed window_key_;
+  std::uint64_t flush_seq_ = 0;
 
   std::map<bgp::AsNumber, std::map<Time, SpiderCommit>> received_commitments_;
   std::vector<std::string> alarms_;

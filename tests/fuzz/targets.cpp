@@ -8,6 +8,7 @@
 #include "harness.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 #include "bgp/prefix.hpp"
@@ -168,6 +169,66 @@ sp::MessageQuote make_quote() {
   return quote;
 }
 
+/// One signed flush window over four neighbour slots (slot 2 empty) plus
+/// a lone width-1 batch, under a keyed-hash signer: the genuine envelopes
+/// every check_batch mutation starts from.
+struct WindowFixture {
+  sc::KeyRegistry keys;
+  std::vector<sc::SignedEnvelope> window;
+  sc::SignedEnvelope lone;
+
+  WindowFixture() {
+    const Bytes key = su::str_bytes("fuzz-window-key");
+    scr::HashSigner signer(key);
+    keys.add(3, std::make_unique<scr::HashVerifier>(key));
+    std::vector<sp::WindowSlot> slots(4);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      slots[i].salt.fill(static_cast<std::uint8_t>(0x40 + i));
+      if (i == 2) {
+        slots[i].dummy_leaf = scr::digest20(su::str_bytes("dummy"));
+      } else {
+        slots[i].payload = make_batch().encode();
+      }
+    }
+    window = sp::sign_window(3, signer, std::move(slots));
+    lone = sp::sign_batch(3, signer, make_batch());
+  }
+
+  std::vector<Bytes> genuine() const {
+    std::vector<Bytes> out;
+    for (const sc::SignedEnvelope& envelope : window) out.push_back(envelope.encode());
+    out.push_back(lone.encode());
+    return out;
+  }
+};
+
+const WindowFixture& window_fixture() {
+  static WindowFixture fixture;
+  return fixture;
+}
+
+/// Mutation arm over the batch checker: any envelope other than a genuine
+/// one must check false, and check_batch must never throw.
+void check_batch_arm(ByteSpan data) {
+  const sc::SignedEnvelope envelope = sc::SignedEnvelope::decode(data);
+  const WindowFixture& fixture = window_fixture();
+  bool ok = false;
+  try {
+    ok = sp::check_batch(envelope, fixture.keys);
+  } catch (...) {
+    throw std::logic_error("check_batch: threw instead of returning false");
+  }
+  const std::vector<Bytes> genuine = fixture.genuine();
+  const bool is_genuine =
+      std::any_of(genuine.begin(), genuine.end(), [&](const Bytes& g) {
+        return std::equal(g.begin(), g.end(), data.begin(), data.end());
+      });
+  if (ok != is_genuine) {
+    throw std::logic_error(is_genuine ? "check_batch: rejected a genuine window envelope"
+                                      : "check_batch: accepted a corrupted envelope");
+  }
+}
+
 void register_bgp_targets() {
   registry().push_back(reader_target<sb::Prefix>(
       "prefix", {encode_prefix(sb::Prefix::parse("10.0.0.0/8")),
@@ -305,6 +366,18 @@ void register_spider_targets() {
       "spider_batch", {make_batch().encode(), empty_batch.encode()}));
 
   registry().push_back(simple_target<sp::MessageQuote>("message_quote", {make_quote().encode()}));
+
+  const WindowFixture& window = window_fixture();
+  registry().push_back(simple_target<sp::WindowProof>(
+      "window_proof", {window.window.front().signature, window.lone.signature}));
+
+  Target check;
+  check.name = "check_batch";
+  check.corpus = window.genuine();
+  check.decode = check_batch_arm;
+  check.reencode = nullptr;
+  check.canonical = false;
+  registry().push_back(std::move(check));
 
   const MttFixture& mtt = mtt_fixture();
   sp::ProducerProofs producer_proofs;

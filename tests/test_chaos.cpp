@@ -2,7 +2,9 @@
 // resilience under benign chaos, and single detection-matrix cells.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
 
 #include "chaos/matrix.hpp"
 #include "spider/deployment.hpp"
@@ -20,6 +22,22 @@ namespace st = spider::trace;
 namespace {
 
 constexpr sn::Time kSecond = sn::kMicrosPerSecond;
+
+/// Every cell's verdicts — each detection's fault class and accused AS, in
+/// emission order — with no timings, fault counts or detail strings, so
+/// the rendering changes only when a verdict or an attribution does.
+std::string render_verdicts(const sch::MatrixReport& report) {
+  std::ostringstream out;
+  for (const sch::CellResult& cell : report.cells) {
+    out << cell.misbehavior << " " << cell.profile << " " << cell.seed << ":";
+    if (cell.detections.empty()) out << " none";
+    for (const sc::Detection& d : cell.detections) {
+      out << " " << sc::fault_kind_name(d.kind) << "@AS" << d.accused;
+    }
+    out << "\n";
+  }
+  return out.str();
+}
 
 /// Small options so a single cell stays fast in unit tests.
 sch::MatrixOptions small_options() {
@@ -223,4 +241,18 @@ TEST(ChaosMatrix, CellsAreDeterministic) {
   EXPECT_EQ(first.faults.duplicated, second.faults.duplicated);
   EXPECT_EQ(first.faults.delayed, second.faults.delayed);
   EXPECT_EQ(first.pass, second.pass);
+}
+
+// The default matrix's verdicts and attributions are pinned by a golden
+// file: a protocol change that alters what is detected, or whom it blames,
+// fails here even when every cell still passes.  The actual rendering is
+// written beside the build for diffing.
+TEST(ChaosMatrix, DefaultMatrixMatchesVerdictGolden) {
+  const std::string actual = render_verdicts(sch::run_matrix(sch::MatrixOptions{}));
+  std::ofstream(CHAOS_VERDICTS_ACTUAL) << actual;
+  std::ifstream golden_file(CHAOS_VERDICTS_GOLDEN);
+  ASSERT_TRUE(golden_file.good()) << "missing " << CHAOS_VERDICTS_GOLDEN;
+  std::stringstream golden;
+  golden << golden_file.rdbuf();
+  EXPECT_EQ(actual, golden.str()) << "compare " << CHAOS_VERDICTS_ACTUAL;
 }

@@ -229,6 +229,46 @@ TEST(EvidenceFromLogs, ImportEvidenceBuildsAndUpholds) {
             sp::EvidenceVerdict::kUpheld);
 }
 
+TEST(EvidenceFromLogs, AckRidingAMixedBatchUpholdsImportEvidence) {
+  // ACKs ride the next batch to their neighbour, beside that neighbour's
+  // own announces and withdraws.  Such a mixed batch is still the ACK
+  // evidence of import needs: find_ack_for returns it and the verdict
+  // checks it like any other batch.
+  auto tr = tiny_trace();
+  sp::Fig5Deployment deploy(tiny_config());
+  auto start = deploy.run_setup(tr, 20 * kSecond);
+  deploy.run_replay(tr, start, 5 * kSecond);
+  const sn::Time now = deploy.sim().now();
+
+  std::size_t mixed = 0;
+  for (sb::AsNumber asn : sp::Fig5Deployment::ases()) {
+    const sp::Recorder& recorder = deploy.recorder(asn);
+    for (const sp::LogEntry& entry : recorder.log().entries()) {
+      if (entry.direction != sp::LogDirection::kSent) continue;
+      const auto envelope = sc::SignedEnvelope::decode(entry.message);
+      const auto batch = sp::SpiderBatch::decode(envelope.payload);
+      std::optional<std::uint32_t> announce;
+      for (std::uint32_t i = 0; i < batch.parts.size() && !announce; ++i) {
+        if (batch.parts[i].type == sp::SpiderMsgType::kAnnounce) announce = i;
+      }
+      if (!announce) continue;
+      auto ack = recorder.find_ack_for(envelope.digest());
+      ASSERT_TRUE(ack.has_value()) << "AS" << asn << " batch to AS" << entry.peer_as;
+      const auto ack_batch = sp::SpiderBatch::decode(ack->payload);
+      const bool carries_more =
+          std::any_of(ack_batch.parts.begin(), ack_batch.parts.end(),
+                      [](const auto& part) { return part.type != sp::SpiderMsgType::kAck; });
+      if (!carries_more) continue;
+      ++mixed;
+      sp::ImportEvidence evidence{{sp::MessageQuote{envelope, *announce}}, *ack};
+      EXPECT_EQ(sp::check_evidence_of_import(evidence, now + 1, std::nullopt, deploy.keys()),
+                sp::EvidenceVerdict::kUpheld)
+          << "AS" << asn << " batch to AS" << entry.peer_as;
+    }
+  }
+  EXPECT_GT(mixed, 0u);
+}
+
 TEST(EvidenceFromLogs, WithdrawnRouteEvidenceIsRefutable) {
   auto tr = tiny_trace(150, 7);
   sp::Fig5Deployment deploy(tiny_config());

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "netreview/auditor.hpp"
 #include "obs/metrics.hpp"
@@ -82,6 +83,22 @@ auto fresh_build_root(const sp::Recorder& rec, const spider::crypto::Seed& seed)
   return fresh.root_label();
 }
 
+/// Salts of every flush-window envelope `log` records as sent.
+std::vector<sp::WindowSalt> sent_salts(const sp::MessageLog& log) {
+  std::vector<sp::WindowSalt> out;
+  for (const sp::LogEntry& entry : log.entries()) {
+    if (entry.direction != sp::LogDirection::kSent) continue;
+    const auto envelope = sc::SignedEnvelope::decode(entry.message);
+    out.push_back(sp::WindowProof::decode(envelope.signature).salt);
+  }
+  return out;
+}
+
+/// The late budget of announce_timely: how long dedup state must last.
+sn::Time late_budget(const sp::RecorderConfig& config) {
+  return config.max_clock_skew + config.ack_deadline * (config.max_retransmits + 1);
+}
+
 #if !defined(SPIDER_OBS_DISABLED)
 std::uint64_t full_builds_counted() {
   const auto snap = spider::obs::MetricsRegistry::instance().snapshot();
@@ -132,6 +149,52 @@ TEST(SpiderIntegration, SignaturesAreBatched) {
   // Far fewer signatures than mirrored updates (Nagle batching, §6.2).
   EXPECT_GT(recorder.updates_mirrored(), 0u);
   EXPECT_LT(recorder.signatures_performed(), recorder.updates_mirrored());
+}
+
+TEST(SpiderIntegration, LosslessRunOutlastsTheAckBudgetQuietly) {
+  // ACKs ride ordinary batches, and a batch carrying only ACKs is neither
+  // ACKed nor awaited: once every retransmission deadline has passed, a
+  // lossless run has retransmitted nothing and raised no "no ACK" alarm.
+  World world;
+  auto& sim = world.deploy.sim();
+  sim.run_until(sim.now() + late_budget(world.deploy.recorder(5).config()) + kSecond);
+  for (sb::AsNumber asn : sp::Fig5Deployment::ases()) {
+    const auto& recorder = world.deploy.recorder(asn);
+    EXPECT_TRUE(recorder.alarms().empty()) << "AS" << asn << ": " << recorder.alarms().front();
+    EXPECT_EQ(recorder.retransmissions(), 0u) << "AS" << asn;
+  }
+}
+
+TEST(SpiderIntegration, OneSignaturePerFlushWindow) {
+  // Every batch a flush sends shares the window's one root signature; the
+  // per-slot salts differ, so the same payload in two windows (or two
+  // slots) hashes to different leaves.
+  World world;
+  const auto& log = world.deploy.recorder(5).log();
+  std::map<sn::Time, spider::util::Bytes> signature_of_flush;
+  std::set<sp::WindowSalt> salts;
+  std::size_t sent = 0;
+  for (const sp::LogEntry& entry : log.entries()) {
+    if (entry.direction != sp::LogDirection::kSent) continue;
+    ++sent;
+    const auto envelope = sc::SignedEnvelope::decode(entry.message);
+    const auto proof = sp::WindowProof::decode(envelope.signature);
+    EXPECT_TRUE(sp::check_batch(envelope, world.deploy.keys()));
+    // Five neighbours: an 8-slot window, three siblings on every path.
+    EXPECT_EQ(proof.siblings.size(), 3u);
+    const auto [flush, first] = signature_of_flush.emplace(entry.timestamp, proof.root_signature);
+    if (!first) {
+      EXPECT_EQ(flush->second, proof.root_signature) << "t=" << entry.timestamp;
+    }
+    EXPECT_TRUE(salts.insert(proof.salt).second) << "salt reused at t=" << entry.timestamp;
+  }
+  ASSERT_GT(sent, signature_of_flush.size());  // some flush served several neighbours
+  EXPECT_EQ(world.deploy.recorder(5).signatures_performed(), signature_of_flush.size());
+
+  const sp::WindowSalt& first = *salts.begin();
+  const sp::WindowSalt& second = *std::next(salts.begin());
+  const spider::util::Bytes payload = spider::util::str_bytes("same batch payload");
+  EXPECT_NE(sp::window_leaf(first, payload), sp::window_leaf(second, payload));
 }
 
 TEST(SpiderIntegration, CommitmentReachesAllNeighbors) {
@@ -375,6 +438,8 @@ TEST(RecorderRestore, RestoredRecorderDerivesFreshSeeds) {
   World world;
   auto& original = world.deploy.recorder(5);
   const auto record1 = world.commit_as5();
+  const std::vector<sp::WindowSalt> pre_crash_salts = sent_salts(original.log());
+  ASSERT_FALSE(pre_crash_salts.empty());
 
   // "Crash": a fresh recorder process (same ASN, same salt, empty runtime
   // state) adopts the logged history, as §6.5 prescribes.
@@ -392,11 +457,35 @@ TEST(RecorderRestore, RestoredRecorderDerivesFreshSeeds) {
   spider::transport::NetsimTransport endpoint(sim);
   sim.add_node(endpoint, "rec-as5");
   sp::Recorder restored(endpoint, rc, signer, keys, speaker);
+  for (sb::AsNumber neighbor : world.deploy.neighbors_of(5)) restored.add_neighbor(neighbor);
   restored.restore_from(original.log());
   restored.start(/*schedule_commitments=*/false);
 
   // Checkpoint + replay must reproduce the pre-crash mirror exactly.
   EXPECT_TRUE(restored.state() == original.state());
+
+  // Flush-window salts never repeat either, even for a flush at the very
+  // time of a pre-crash flush: the salt PRF input is (flush time, flush
+  // seq, slot), and the flush seq resumes past the adopted log.
+  const std::size_t adopted = restored.log().entries().size();
+  const sn::Time pre_crash_flush = [&] {
+    for (const sp::LogEntry& entry : original.log().entries()) {
+      if (entry.direction == sp::LogDirection::kSent) return entry.timestamp;
+    }
+    return sn::Time{0};
+  }();
+  ASSERT_GT(pre_crash_flush, 0);
+  sim.run_until(pre_crash_flush);
+  restored.make_commitment();  // one flush to every neighbour slot
+  const std::vector<sp::WindowSalt> post_restore_salts = sent_salts(restored.log());
+  ASSERT_GT(restored.log().entries().size(), adopted);
+  const std::set<sp::WindowSalt> before(pre_crash_salts.begin(), pre_crash_salts.end());
+  std::size_t fresh = 0;
+  for (std::size_t i = pre_crash_salts.size(); i < post_restore_salts.size(); ++i) {
+    EXPECT_EQ(before.count(post_restore_salts[i]), 0u) << "salt reused after restore";
+    ++fresh;
+  }
+  EXPECT_EQ(fresh, world.deploy.neighbors_of(5).size());
 
   // The restarted clock sits ahead of everything logged; commit again.
   sim.run_until(record1.timestamp + 60 * kSecond);
@@ -416,6 +505,80 @@ TEST(RecorderRestore, RestoredRecorderDerivesFreshSeeds) {
   // Restore dropped the live tree; the first commitment after it rebuilds
   // over the restored mirror.
   EXPECT_EQ(fresh_build_root(restored, record2.seed), record2.root);
+}
+
+// -------------------------------------------------- bounded dedup state
+
+TEST(RecorderDedup, DuplicateInsideTheBudgetIsDedupedAndReAcked) {
+  World world;
+  auto& as5 = world.deploy.recorder(5);
+  auto& sim = world.deploy.sim();
+  sim.run();
+
+  // The newest batch AS5 received from AS2 that carried an announce.
+  const sp::LogEntry* original = nullptr;
+  for (const sp::LogEntry& entry : as5.log().entries()) {
+    if (entry.direction != sp::LogDirection::kReceived || entry.peer_as != 2) continue;
+    const auto batch =
+        sp::SpiderBatch::decode(sc::SignedEnvelope::decode(entry.message).payload);
+    for (const auto& part : batch.parts) {
+      if (part.type == sp::SpiderMsgType::kAnnounce) original = &entry;
+    }
+  }
+  ASSERT_NE(original, nullptr);
+  const spider::util::Bytes frame = original->message;
+  const sn::Time received_at = original->timestamp;
+  const auto digest = sc::SignedEnvelope::decode(frame).digest();
+
+  // A commitment prunes the dedup state, but the batch is still inside
+  // the budget, so its duplicate must be recognised.
+  as5.make_commitment();
+  sim.run();
+  ASSERT_LT(sim.now() - received_at, late_budget(as5.config()));
+  const auto mirror = as5.state();
+  const std::size_t logged = as5.log().entries().size();
+  as5.handle_frame(2, frame);
+  sim.run();
+
+  EXPECT_TRUE(as5.state() == mirror);  // not re-applied
+  bool re_acked = false;
+  for (std::size_t i = logged; i < as5.log().entries().size(); ++i) {
+    const sp::LogEntry& entry = as5.log().entries()[i];
+    EXPECT_EQ(entry.direction, sp::LogDirection::kSent) << "duplicate was logged as new input";
+    const auto batch =
+        sp::SpiderBatch::decode(sc::SignedEnvelope::decode(entry.message).payload);
+    for (const auto& part : batch.parts) {
+      if (part.type == sp::SpiderMsgType::kAck &&
+          sp::SpiderAck::decode(part.body).message_digest == digest) {
+        re_acked = true;
+      }
+    }
+  }
+  EXPECT_TRUE(re_acked);
+  EXPECT_TRUE(as5.alarms().empty()) << as5.alarms().front();
+  EXPECT_TRUE(world.deploy.recorder(2).alarms().empty())
+      << world.deploy.recorder(2).alarms().front();
+}
+
+TEST(RecorderDedup, StateStaysBoundedAcrossRounds) {
+  // Three replay rounds, each followed by a quiet spell longer than the
+  // late budget and a commitment: each commitment drops everything the
+  // round left behind, so the state does not grow with history.
+  World world;
+  auto& as5 = world.deploy.recorder(5);
+  auto& sim = world.deploy.sim();
+  const sn::Time budget = late_budget(as5.config());
+  for (int round = 0; round < 3; ++round) {
+    if (round > 0) world.deploy.run_replay(world.trace, sim.now() + kSecond, 5 * kSecond);
+    sim.run_until(sim.now() + budget + kSecond);
+    EXPECT_GT(as5.dedup_entries(), 0u) << "round " << round;
+    as5.make_commitment();
+    EXPECT_EQ(as5.dedup_entries(), 0u) << "round " << round;
+  }
+  for (sb::AsNumber asn : sp::Fig5Deployment::ases()) {
+    EXPECT_TRUE(world.deploy.recorder(asn).alarms().empty())
+        << "AS" << asn << ": " << world.deploy.recorder(asn).alarms().front();
+  }
 }
 
 TEST(IncrementalCommits, LiveTreeMatchesFullRebuildAcrossRounds) {

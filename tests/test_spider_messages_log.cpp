@@ -100,11 +100,107 @@ TEST(SpiderMessages, BatchRoundtripAndSigning) {
        sp::SpiderWithdraw{2, 1, 2, sb::Prefix::parse("11.0.0.0/8")}.encode()});
 
   auto envelope = sp::sign_batch(1, net.alice, batch);
-  EXPECT_TRUE(sc::check_envelope(envelope, net.keys));
+  EXPECT_TRUE(sp::check_batch(envelope, net.keys));
   auto decoded = sp::SpiderBatch::decode(envelope.payload);
   ASSERT_EQ(decoded.parts.size(), 2u);
   EXPECT_EQ(decoded.parts[0].type, sp::SpiderMsgType::kAnnounce);
   EXPECT_EQ(decoded.parts[1].type, sp::SpiderMsgType::kWithdraw);
+}
+
+namespace {
+
+/// A four-slot window signed by Alice: slots 0, 1 and 3 carry batches,
+/// slot 2 is empty.
+std::vector<sc::SignedEnvelope> alice_window(const TwoParty& net) {
+  std::vector<sp::WindowSlot> slots(4);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    slots[i].salt.fill(static_cast<std::uint8_t>(0xa0 + i));
+    if (i == 2) {
+      slots[i].dummy_leaf = scr::digest20(su::str_bytes("dummy"));
+      continue;
+    }
+    sp::SpiderBatch batch;
+    batch.parts.push_back(
+        {sp::SpiderMsgType::kAnnounce, sample_announce(1000 + static_cast<sp::Time>(i)).encode()});
+    slots[i].payload = batch.encode();
+  }
+  return sp::sign_window(1, net.alice, std::move(slots));
+}
+
+}  // namespace
+
+TEST(SpiderMessages, WindowProofRoundtripsAndBindsEveryByte) {
+  TwoParty net;
+  const auto window = alice_window(net);
+  ASSERT_EQ(window.size(), 3u);
+  for (const sc::SignedEnvelope& envelope : window) {
+    ASSERT_TRUE(sp::check_batch(envelope, net.keys));
+    const sp::WindowProof proof = sp::WindowProof::decode(envelope.signature);
+    EXPECT_EQ(proof.encode(), envelope.signature);
+    EXPECT_EQ(proof.siblings.size(), 2u);
+    EXPECT_EQ(proof.root_signature, sp::WindowProof::decode(window[0].signature).root_signature);
+    // Slot, depth, salt, every sibling and the root signature: each byte
+    // of the proof is bound.
+    for (std::size_t i = 0; i < envelope.signature.size(); ++i) {
+      sc::SignedEnvelope tampered = envelope;
+      tampered.signature[i] ^= 0x01;
+      EXPECT_FALSE(sp::check_batch(tampered, net.keys)) << "proof byte " << i;
+    }
+    for (std::size_t i = 0; i < envelope.payload.size(); ++i) {
+      sc::SignedEnvelope tampered = envelope;
+      tampered.payload[i] ^= 0x80;
+      EXPECT_FALSE(sp::check_batch(tampered, net.keys)) << "payload byte " << i;
+    }
+    // The proof moved to every other slot of the window.
+    for (std::uint8_t slot = 0; slot < 4; ++slot) {
+      if (slot == proof.slot) continue;
+      sp::WindowProof moved = proof;
+      moved.slot = slot;
+      sc::SignedEnvelope tampered = envelope;
+      tampered.signature = moved.encode();
+      EXPECT_FALSE(sp::check_batch(tampered, net.keys)) << "moved to slot " << int{slot};
+    }
+    // Right proof, wrong signer.
+    sc::SignedEnvelope forged = envelope;
+    forged.signer = 2;
+    EXPECT_FALSE(sp::check_batch(forged, net.keys));
+  }
+  // One batch's proof under another batch's payload.
+  sc::SignedEnvelope swapped = window[0];
+  swapped.signature = window[1].signature;
+  EXPECT_FALSE(sp::check_batch(swapped, net.keys));
+}
+
+TEST(SpiderMessages, WindowProofDecodeRejectsImpossibleShapes) {
+  sp::WindowProof proof;
+  proof.slot = 3;
+  proof.siblings.resize(2);
+  proof.root_signature = su::str_bytes("sig");
+  EXPECT_NO_THROW(sp::WindowProof::decode(proof.encode()));
+  proof.slot = 4;  // outside a depth-2 window
+  EXPECT_THROW(sp::WindowProof::decode(proof.encode()), su::DecodeError);
+  proof.slot = 0;
+  proof.siblings.resize(sp::kMaxWindowDepth + 1);
+  EXPECT_THROW(sp::WindowProof::decode(proof.encode()), su::DecodeError);
+  EXPECT_THROW(sp::WindowProof::decode(su::Bytes{0, 0, 1, 2}), su::DecodeError);  // short salt
+}
+
+TEST(SpiderMessages, LoneBatchIsTheWidthOneWindow) {
+  TwoParty net;
+  sp::SpiderBatch batch;
+  batch.parts.push_back({sp::SpiderMsgType::kAnnounce, sample_announce().encode()});
+  const auto envelope = sp::sign_batch(1, net.alice, batch);
+  const sp::WindowProof proof = sp::WindowProof::decode(envelope.signature);
+  EXPECT_EQ(proof.slot, 0u);
+  EXPECT_TRUE(proof.siblings.empty());
+  EXPECT_TRUE(sp::check_batch(envelope, net.keys));
+  // A width-1 window has no slot 1.
+  sc::SignedEnvelope moved = envelope;
+  moved.signature[0] = 1;
+  EXPECT_FALSE(sp::check_batch(moved, net.keys));
+  // Not a window proof at all.
+  sc::SignedEnvelope plain = sc::sign_envelope(1, net.alice, envelope.payload);
+  EXPECT_FALSE(sp::check_batch(plain, net.keys));
 }
 
 TEST(SpiderMessages, QuoteExtractsPart) {
