@@ -10,19 +10,14 @@ namespace spider::proto {
 using core::Detection;
 using core::FaultKind;
 
-namespace {
-bool mtt_verify_default(const Digest20& root, std::uint32_t num_classes,
-                        const core::MttPrefixProof& proof) {
-  return core::Mtt::verify(root, num_classes, proof);
-}
-}  // namespace
-
-std::optional<Detection> Checker::check_producer_proofs(
-    const SpiderCommit& commit, bgp::AsNumber elector,
-    const std::map<bgp::Prefix, std::vector<bgp::Route>>& my_window_routes,
-    const ProducerProofs& proofs, const core::Classifier& classifier) {
-  return check_producer_proofs(commit, elector, my_window_routes, proofs, classifier,
-                               mtt_verify_default);
+CheckerExpectation Checker::expectation(const Recorder& checker, bgp::AsNumber elector,
+                                        std::optional<bgp::Prefix> within) {
+  CheckerExpectation expected;
+  for (const auto& [prefix, route] : checker.my_exports_to(elector, within)) {
+    expected.window[prefix] = {route};
+  }
+  expected.imports = checker.my_imports_from(elector, within);
+  return expected;
 }
 
 std::optional<Detection> Checker::check_producer_proofs(
@@ -73,14 +68,6 @@ std::optional<Detection> Checker::check_producer_proofs(
     }
   }
   return std::nullopt;
-}
-
-std::optional<Detection> Checker::check_consumer_proofs(
-    const SpiderCommit& commit, bgp::AsNumber elector, const core::Promise& promise,
-    const std::map<bgp::Prefix, bgp::Route>& my_imports, const ConsumerProofs& proofs,
-    bgp::AsNumber self, const core::Classifier& classifier) {
-  return check_consumer_proofs(commit, elector, promise, my_imports, proofs, self, classifier,
-                               mtt_verify_default);
 }
 
 std::optional<Detection> Checker::check_consumer_proofs(

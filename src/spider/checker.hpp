@@ -24,13 +24,28 @@ namespace spider::proto {
 
 /// Pluggable bit-proof verifier: (root, num_classes, proof) -> opens?
 /// Session engines (src/verify) substitute a memoizing verifier here; the
-/// default forwards to core::Mtt::verify, so every overload without an
-/// explicit function behaves exactly as before.
+/// default is core::Mtt::verify.
 using ProofVerifyFn =
     std::function<bool(const Digest20&, std::uint32_t, const core::MttPrefixProof&)>;
 
+/// What a checker expects the elector's proof generator to prove to it,
+/// taken from the checker's own recorder: as a producer, every route it
+/// exports to the elector (the loose-sync window of each prefix); as a
+/// consumer, every route it imports from the elector.
+struct CheckerExpectation {
+  std::map<bgp::Prefix, std::vector<bgp::Route>> window;
+  std::map<bgp::Prefix, bgp::Route> imports;
+};
+
 class Checker {
  public:
+  /// The one builder of a checker's expectation, shared by in-process
+  /// sessions (verify::run_session) and node hosts.  `within` keeps one
+  /// prefix subtree (§7.3); nullopt = everything.  Today each window holds
+  /// the checker's current export only.
+  static CheckerExpectation expectation(const Recorder& checker, bgp::AsNumber elector,
+                                        std::optional<bgp::Prefix> within = std::nullopt);
+
   /// `my_window_routes` maps each prefix this neighbor was exporting to
   /// the elector to the set of values that were in force at some point in
   /// [T-δ, T]  (the neighbor knows its own history; for stable routes this
@@ -38,23 +53,16 @@ class Checker {
   static std::optional<core::Detection> check_producer_proofs(
       const SpiderCommit& commit, bgp::AsNumber elector,
       const std::map<bgp::Prefix, std::vector<bgp::Route>>& my_window_routes,
-      const ProducerProofs& proofs, const core::Classifier& classifier);
-  static std::optional<core::Detection> check_producer_proofs(
-      const SpiderCommit& commit, bgp::AsNumber elector,
-      const std::map<bgp::Prefix, std::vector<bgp::Route>>& my_window_routes,
       const ProducerProofs& proofs, const core::Classifier& classifier,
-      const ProofVerifyFn& verify);
+      const ProofVerifyFn& verify = core::Mtt::verify);
 
   /// `my_imports` maps each prefix to the route this neighbor currently
   /// holds from the elector (its own Adj-RIB-In mirror).
   static std::optional<core::Detection> check_consumer_proofs(
       const SpiderCommit& commit, bgp::AsNumber elector, const core::Promise& promise,
       const std::map<bgp::Prefix, bgp::Route>& my_imports, const ConsumerProofs& proofs,
-      bgp::AsNumber self, const core::Classifier& classifier);
-  static std::optional<core::Detection> check_consumer_proofs(
-      const SpiderCommit& commit, bgp::AsNumber elector, const core::Promise& promise,
-      const std::map<bgp::Prefix, bgp::Route>& my_imports, const ConsumerProofs& proofs,
-      bgp::AsNumber self, const core::Classifier& classifier, const ProofVerifyFn& verify);
+      bgp::AsNumber self, const core::Classifier& classifier,
+      const ProofVerifyFn& verify = core::Mtt::verify);
 
   /// Extended verification, consumer side (§6.6): every route this
   /// consumer holds from the elector must be covered by a RE-ANNOUNCE from

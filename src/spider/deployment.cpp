@@ -56,7 +56,6 @@ Fig5Deployment::Fig5Deployment(DeploymentConfig config) : config_(std::move(conf
     rc.commit_threads = config_.commit_threads;
     rc.batch_window = config_.batch_window;
     rc.delta = config_.delta;
-    rc.seed_epoch_rounds = config_.seed_epoch_rounds;
     // The transport shim occupies the simulator slot the recorder itself
     // used to: same add_node order, same "rec-asN" names, so node ids and
     // event ordering — and therefore every byte of a deterministic run —

@@ -35,8 +35,6 @@ struct DeploymentConfig {
   bgp::AsNumber trace_peer = 1000;
   Time batch_window = 50'000;
   Time delta = 5 * netsim::kMicrosPerSecond;
-  /// Forwarded to RecorderConfig (see recorder.hpp for the semantics).
-  unsigned seed_epoch_rounds = 1;
 };
 
 class Fig5Deployment {

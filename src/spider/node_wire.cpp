@@ -1,5 +1,7 @@
 #include "spider/node_wire.hpp"
 
+#include <cstdio>
+
 #include "util/serde.hpp"
 
 namespace spider::proto {
@@ -193,6 +195,33 @@ CheckResultFrame CheckResultFrame::decode(ByteSpan data) {
   frame.detail = r.str();
   r.expect_end();
   return frame;
+}
+
+NodeEndpoint::NodeEndpoint(transport::Endpoint& inner) : inner_(inner) {
+  inner_.set_frame_handler([this](transport::PeerId from, ByteSpan frame) {
+    NodeFrame node_frame;
+    try {
+      node_frame = NodeFrame::decode(frame);
+    } catch (const util::DecodeError& e) {
+      std::fprintf(stderr, "dropping malformed node frame from peer %u: %s\n", from, e.what());
+      return;
+    }
+    if (node_frame.type == NodeFrameType::kEnvelope) {
+      if (handler_) handler_(from, node_frame.body);
+    } else if (control_) {
+      control_(from, node_frame);
+    }
+  });
+}
+
+bool NodeEndpoint::send(transport::PeerId to, ByteSpan frame) {
+  NodeFrame node_frame{NodeFrameType::kEnvelope, Bytes(frame.begin(), frame.end())};
+  return inner_.send(to, node_frame.encode());
+}
+
+bool NodeEndpoint::send_control(transport::PeerId to, NodeFrameType type, ByteSpan body) {
+  NodeFrame node_frame{type, Bytes(body.begin(), body.end())};
+  return inner_.send(to, node_frame.encode());
 }
 
 }  // namespace spider::proto

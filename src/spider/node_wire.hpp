@@ -17,11 +17,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "bgp/route.hpp"
 #include "spider/messages.hpp"
+#include "transport/transport.hpp"
 
 namespace spider::proto {
 
@@ -148,6 +150,41 @@ struct CheckResultFrame {
 
   Bytes encode() const;
   static CheckResultFrame decode(ByteSpan data);
+};
+
+/// transport::Endpoint adapter that wraps recorder envelope traffic in
+/// NodeFrame{kEnvelope} and routes every other frame type to a control
+/// handler.  A recorder bound to it sees exactly the frame bytes it would
+/// see on the wrapped endpoint alone; the node host (or a load generator)
+/// sees everything else.  Works over any backend: TcpTransport between
+/// processes, NetsimTransport in tests.  A frame that is not a NodeFrame
+/// is dropped.
+class NodeEndpoint final : public transport::Endpoint {
+ public:
+  using ControlHandler = std::function<void(transport::PeerId, const NodeFrame&)>;
+
+  /// Installs itself as `inner`'s frame handler (and uninstalls on
+  /// destruction); `inner` must outlive it.
+  explicit NodeEndpoint(transport::Endpoint& inner);
+  ~NodeEndpoint() override { inner_.set_frame_handler({}); }
+  NodeEndpoint(const NodeEndpoint&) = delete;
+  NodeEndpoint& operator=(const NodeEndpoint&) = delete;
+
+  void set_frame_handler(FrameHandler handler) override { handler_ = std::move(handler); }
+  void set_control_handler(ControlHandler handler) { control_ = std::move(handler); }
+
+  bool send(transport::PeerId to, ByteSpan frame) override;
+  bool send_control(transport::PeerId to, NodeFrameType type, ByteSpan body);
+
+  void schedule_in(transport::Time delay, std::function<void()> fn) override {
+    inner_.schedule_in(delay, std::move(fn));
+  }
+  transport::Time now() const override { return inner_.now(); }
+
+ private:
+  transport::Endpoint& inner_;
+  FrameHandler handler_;
+  ControlHandler control_;
 };
 
 }  // namespace spider::proto

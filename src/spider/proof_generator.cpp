@@ -216,12 +216,6 @@ std::shared_ptr<const ProofGenerator::Reconstruction> ProofGenerator::reconstruc
 
 ProducerProofs ProofGenerator::proofs_for_producer(const Reconstruction& recon,
                                                    bgp::AsNumber producer,
-                                                   std::optional<bgp::Prefix> within) const {
-  return proofs_for_producer(recon, producer, within, nullptr);
-}
-
-ProducerProofs ProofGenerator::proofs_for_producer(const Reconstruction& recon,
-                                                   bgp::AsNumber producer,
                                                    std::optional<bgp::Prefix> within,
                                                    const std::set<bgp::Prefix>* subset,
                                                    core::MttProofMemo* memo) const {
@@ -273,12 +267,6 @@ ProducerProofs ProofGenerator::proofs_for_producer(const Reconstruction& recon,
   SPIDER_OBS_COUNT("spider/producer_proof_items", proofs.items.size());
   SPIDER_OBS_HIST("spider/producer_proof_bytes", proofs.total_bytes(), obs::size_buckets_bytes());
   return proofs;
-}
-
-ConsumerProofs ProofGenerator::proofs_for_consumer(const Reconstruction& recon,
-                                                   bgp::AsNumber consumer,
-                                                   std::optional<bgp::Prefix> within) const {
-  return proofs_for_consumer(recon, consumer, within, nullptr);
 }
 
 ConsumerProofs ProofGenerator::proofs_for_consumer(const Reconstruction& recon,

@@ -127,25 +127,21 @@ class ProofGenerator {
   /// — the §7.3 suggestion for keeping proof sizes down ("its neighbors
   /// could trigger verification for smaller subtrees, e.g., all prefixes
   /// in 32.0.0/8").  nullopt = everything.
+  ///
+  /// `subset` (optional) emits proofs only for those prefixes — one
+  /// challenge round's worth in a pipelined session; the union of the
+  /// proofs over a partition of the prefix space equals the unrestricted
+  /// proof set item-for-item.  `memo` (optional) caches the
+  /// class-independent proof material across calls against the same
+  /// reconstruction — a session proves each prefix once per neighbor role,
+  /// so the memo collapses the repeat PRF/digest work.
   ProducerProofs proofs_for_producer(const Reconstruction& recon, bgp::AsNumber producer,
-                                     std::optional<bgp::Prefix> within = std::nullopt) const;
-  ConsumerProofs proofs_for_consumer(const Reconstruction& recon, bgp::AsNumber consumer,
-                                     std::optional<bgp::Prefix> within = std::nullopt) const;
-
-  /// Round-restricted variants for pipelined sessions (src/verify): emit
-  /// proofs only for prefixes in `subset` (one challenge round's worth).
-  /// The union of the proofs over a partition of the prefix space equals
-  /// the unrestricted proof set item-for-item.  `memo` (optional) caches
-  /// the class-independent proof material across calls against the same
-  /// reconstruction — a session proves each prefix once per neighbor
-  /// role, so the memo collapses the repeat PRF/digest work.
-  ProducerProofs proofs_for_producer(const Reconstruction& recon, bgp::AsNumber producer,
-                                     std::optional<bgp::Prefix> within,
-                                     const std::set<bgp::Prefix>* subset,
+                                     std::optional<bgp::Prefix> within = std::nullopt,
+                                     const std::set<bgp::Prefix>* subset = nullptr,
                                      core::MttProofMemo* memo = nullptr) const;
   ConsumerProofs proofs_for_consumer(const Reconstruction& recon, bgp::AsNumber consumer,
-                                     std::optional<bgp::Prefix> within,
-                                     const std::set<bgp::Prefix>* subset,
+                                     std::optional<bgp::Prefix> within = std::nullopt,
+                                     const std::set<bgp::Prefix>* subset = nullptr,
                                      core::MttProofMemo* memo = nullptr) const;
 
   /// Elector side of extended verification: from the producers'

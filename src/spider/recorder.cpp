@@ -80,18 +80,6 @@ void Recorder::start(bool schedule_commitments) {
   // Initial full checkpoint: the base of every replay (§6.5).
   log_.add_checkpoint(local_now(), state_.serialize_chunked(config_.checkpoint_chunk_bytes));
 
-  if (config_.checkpoint_interval > 0) {
-    // Self-rescheduling periodic checkpoint task.
-    struct Rescheduler {
-      Recorder* recorder;
-      void operator()() const {
-        recorder->make_checkpoint();
-        recorder->transport_.schedule_in(recorder->config_.checkpoint_interval, *this);
-      }
-    };
-    transport_.schedule_in(config_.checkpoint_interval, Rescheduler{this});
-  }
-
   if (schedule_commitments) schedule_commit();
 }
 
@@ -101,17 +89,20 @@ void Recorder::make_checkpoint() {
 
 void Recorder::restore_from(MessageLog log) {
   if (started_) throw std::logic_error("Recorder: restore_from after start");
-  log_ = std::move(log);
-
-  const LogCheckpoint* checkpoint = log_.checkpoint_before(std::numeric_limits<Time>::max());
+  // Nothing is adopted until the checkpoint decodes: a log that throws
+  // here leaves the recorder as it was.
+  const LogCheckpoint* checkpoint = log.checkpoint_before(std::numeric_limits<Time>::max());
   if (!checkpoint) throw std::invalid_argument("Recorder: log has no checkpoint to restore from");
-  state_ = MirrorState::deserialize_chunked(checkpoint->chunks);
+  MirrorState base = MirrorState::deserialize_chunked(checkpoint->chunks);
+  const Time base_time = checkpoint->timestamp;
+  log_ = std::move(log);
+  state_ = std::move(base);
 
   // Replay everything logged after the checkpoint, with exactly the live
   // acceptance rules (a part the pre-crash recorder rejected for timing
   // must not resurface in the restored mirror).
   for (const LogEntry* entry :
-       log_.entries_between(checkpoint->timestamp, std::numeric_limits<Time>::max())) {
+       log_.entries_between(base_time, std::numeric_limits<Time>::max())) {
     core::SignedEnvelope envelope;
     SpiderBatch batch;
     try {
@@ -564,17 +555,9 @@ crypto::Seed Recorder::commitment_seed(Time now) const {
   // seed freshness to commitment freshness: a recorder restored from
   // checkpoint+replay commits at strictly later times than anything in its
   // log and therefore can never reuse a seed — the bug a restart-counter
-  // scheme had.  With seed_epoch_rounds > 1 the timestamp is quantized to
-  // its epoch window, deliberately sharing the seed within the epoch so
-  // incremental relabeling can skip untouched subtrees.
-  Time epoch = now;
-  if (config_.seed_epoch_rounds > 1 && config_.commit_interval > 0) {
-    const Time epoch_length =
-        config_.commit_interval * static_cast<Time>(config_.seed_epoch_rounds);
-    epoch = now - (now % epoch_length);
-  }
+  // scheme had.
   return crypto::seed_from_string(config_.seed_salt + "-" + std::to_string(config_.asn) + "-t" +
-                                  std::to_string(epoch));
+                                  std::to_string(now));
 }
 
 Digest20 Recorder::commit_root(const crypto::Seed& seed) {
@@ -600,18 +583,12 @@ Digest20 Recorder::commit_root(const crypto::Seed& seed) {
       updates.push_back({prefix, mtt_entry_for(state_, classifier_, promises_,
                                                faults_.ignore_inputs, prefix)});
     }
-    if (live_tree_.labels_computed() && crypto::constant_time_equal(live_seed_.span(), seed.span())) {
-      // Same seed epoch: only dirty paths rehash.
-      live_tree_.apply(updates, prf, config_.commit_threads);
-      SPIDER_OBS_COUNT("spider/commit_incremental", 1);
-    } else {
-      // Seed rotated: the structure survives, the labeling starts over.
-      live_tree_.apply(updates);
-      live_tree_.compute_labels(prf, config_.commit_threads);
-      SPIDER_OBS_COUNT("spider/commit_structure_reuse", 1);
-    }
+    // Every commitment has a fresh seed: the structure survives, the
+    // labeling starts over.
+    live_tree_.apply(updates);
+    live_tree_.compute_labels(prf, config_.commit_threads);
+    SPIDER_OBS_COUNT("spider/commit_structure_reuse", 1);
   }
-  live_seed_ = seed;
   committed_ignored_ = faults_.ignore_inputs;
   committed_promises_version_ = promises_version_;
   dirty_prefixes_.clear();

@@ -55,9 +55,6 @@ struct RecorderConfig {
   /// several retransmissions, the sender raises an alarm").
   Time ack_deadline = 2 * netsim::kMicrosPerSecond;
   int max_retransmits = 3;
-  /// Additional full checkpoints every this often; 0 = only the initial
-  /// one (§6.5: "optionally some additional checkpoints").
-  Time checkpoint_interval = 0;
   /// Target size of one streamed checkpoint chunk (see
   /// MirrorState::serialize_chunked): full-RIB checkpoints are written and
   /// restored without ever building a contiguous state buffer.
@@ -72,19 +69,6 @@ struct RecorderConfig {
   /// (deterministic in tests).
   // spider-taint: secret
   std::string seed_salt = "spider-seed";
-  /// Rounds per commitment-seed epoch.  The recorder keeps its MTT alive
-  /// across rounds and applies only the prefixes that changed; roots are
-  /// bit-identical to a fresh build (content-addressed PRF indexing), so
-  /// checkpoint+replay reconstruction rebuilds and compares.  1 (default)
-  /// derives a fresh seed for every commitment timestamp — the paper's
-  /// per-round unlinkability — which limits reuse to the tree structure
-  /// (every label still rehashes under the new seed).  Values > 1 share
-  /// one seed across a wall-clock epoch of seed_epoch_rounds *
-  /// commit_interval, letting within-epoch rounds relabel only dirty
-  /// paths.  Documented privacy tradeoff (DESIGN.md): an observer comparing
-  /// two same-epoch commitments learns which subtrees changed between
-  /// them, though never the bit values themselves.
-  unsigned seed_epoch_rounds = 1;
 };
 
 /// §6.4 acceptance window for a received announce's sender timestamp.
@@ -173,7 +157,6 @@ class Recorder {
   const RecorderConfig& config() const { return config_; }
   const MirrorState& state() const { return state_; }
   const MessageLog& log() const { return log_; }
-  MessageLog& mutable_log() { return log_; }
   const core::PathLengthClassifier& classifier() const { return classifier_; }
   const std::map<bgp::AsNumber, core::Promise>& promises() const { return promises_; }
   /// Bumped by every set_promise(); caches of promise-derived state pin it.
@@ -254,9 +237,9 @@ class Recorder {
 
   Time local_now() const;
 
-  /// Seed for the commitment stamped `now`: a function of the timestamp
-  /// (or its epoch window when seed_epoch_rounds > 1), never of a counter,
-  /// so checkpoint restore cannot replay an already-used seed.
+  /// Seed for the commitment stamped `now`: a function of the timestamp,
+  /// never of a counter, so checkpoint restore cannot replay an
+  /// already-used seed.
   crypto::Seed commitment_seed(Time now) const;
   /// Marks a prefix changed since the last commitment (no-op while there
   /// is no live tree: the next commitment rebuilds from the mirror anyway).
@@ -339,7 +322,6 @@ class Recorder {
   // invalidate every prefix's bits at once and force a full rebuild.
   core::Mtt live_tree_;
   bool live_tree_valid_ = false;
-  crypto::Seed live_seed_{};
   std::set<bgp::Prefix> dirty_prefixes_;
   std::set<bgp::AsNumber> committed_ignored_;
   std::uint64_t promises_version_ = 0;

@@ -271,11 +271,10 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
       continue;
     }
     plan.commit = commit_it->second;
-    const auto& rec = deploy.recorder(neighbor);
-    for (const auto& [prefix, route] : rec.my_exports_to(elector, within)) {
-      plan.window[prefix] = {route};
-    }
-    plan.imports = rec.my_imports_from(elector, within);
+    proto::CheckerExpectation expected =
+        proto::Checker::expectation(deploy.recorder(neighbor), elector, within);
+    plan.window = std::move(expected.window);
+    plan.imports = std::move(expected.imports);
     const auto& promises = deploy.recorder(elector).promises();
     auto promise_it = promises.find(neighbor);
     if (promise_it != promises.end()) plan.promise = &promise_it->second;

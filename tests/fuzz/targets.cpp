@@ -29,7 +29,9 @@
 #include "spider/proof_generator.hpp"
 #include "spider/state.hpp"
 #include "transport/framing.hpp"
+#include "transport/netsim_transport.hpp"
 #include "util/serde.hpp"
+#include "verify/node_host.hpp"
 
 namespace spider::fuzz {
 
@@ -531,6 +533,137 @@ void register_node_wire_targets() {
       simple_target<sp::CheckResultFrame>("check_result_frame", {check_result.encode()}));
 }
 
+/// The three node roles (recorder AS 5, checker AS 2, proof generator
+/// 905 for AS 5) on one simulator, wired like a node deployment: the
+/// recorder peers with the checker and serves its log to the proof
+/// generator.  Fuzzed frames reach each role through its NodeEndpoint.
+struct NodeFixture {
+  static constexpr std::uint32_t kChecker = 2, kRecorder = 5, kProofgen = 905, kClient = 1000;
+  netsim::Simulator sim;
+  spider::transport::NetsimTransport checker_net{sim}, recorder_net{sim}, proofgen_net{sim},
+      client_net{sim};  // the client drops every reply
+  netsim::NodeId checker_node, recorder_node, proofgen_node, client_node;
+  std::unique_ptr<spider::verify::NodeHost> checker, recorder, proofgen;
+
+  NodeFixture() {
+    namespace sv = spider::verify;
+    checker_node = sim.add_node(checker_net, "checker");
+    recorder_node = sim.add_node(recorder_net, "recorder");
+    proofgen_node = sim.add_node(proofgen_net, "proofgen");
+    client_node = sim.add_node(client_net, "client");
+    sim.connect(checker_node, recorder_node, 1'000);
+    sim.connect(proofgen_node, recorder_node, 1'000);
+    checker_net.register_peer(kRecorder, recorder_node);
+    recorder_net.register_peer(kChecker, checker_node);
+    recorder_net.register_peer(kProofgen, proofgen_node);
+    proofgen_net.register_peer(kRecorder, recorder_node);
+    for (auto [net, node] : {std::pair{&checker_net, checker_node}, {&recorder_net, recorder_node},
+                             {&proofgen_net, proofgen_node}}) {
+      sim.connect(client_node, node, 1'000);
+      net->register_peer(kClient, client_node);
+    }
+
+    auto config = [](sv::NodeRole role, std::uint32_t id, std::uint32_t neighbor) {
+      sv::NodeConfig c;
+      c.role = role;
+      c.id = id;
+      c.neighbors = {neighbor};
+      c.num_classes = 8;
+      c.commit_interval = 20'000;
+      c.batch_window = 2'000;
+      return c;
+    };
+    checker = std::make_unique<sv::NodeHost>(checker_net,
+                                             config(sv::NodeRole::kChecker, kChecker, kRecorder));
+    sv::NodeConfig rc = config(sv::NodeRole::kRecorder, kRecorder, kChecker);
+    rc.trusted_log_peers = {kProofgen};
+    recorder = std::make_unique<sv::NodeHost>(recorder_net, rc);
+    sv::NodeConfig pc = config(sv::NodeRole::kProofgen, kProofgen, kChecker);
+    pc.elector = kRecorder;
+    proofgen = std::make_unique<sv::NodeHost>(proofgen_net, pc);
+  }
+};
+
+/// Input: one frame-type byte (taken modulo the type range) and the frame
+/// body, so every mutation reaches a node.  The NodeFrame goes to every
+/// role through its NodeEndpoint, then the deployment runs for a few
+/// milliseconds (commitments, log transfers, checks).  A node must never
+/// throw.  Log frames reach the proof generator from the recorder's node.
+void node_control_check(ByteSpan data) {
+  if (data.empty()) throw su::DecodeError("node_control: empty input");
+  constexpr auto kTypes = static_cast<std::uint8_t>(sp::NodeFrameType::kShutdown);
+  sp::NodeFrame frame;
+  frame.type = static_cast<sp::NodeFrameType>(1 + data[0] % kTypes);
+  frame.body.assign(data.begin() + 1, data.end());
+  const Bytes wire = frame.encode();
+  static NodeFixture fixture;
+  const bool log_frame = frame.type == sp::NodeFrameType::kLogSegment ||
+                         frame.type == sp::NodeFrameType::kLogEnd;
+  try {
+    fixture.checker_net.handle_message(fixture.client_node, wire);
+    fixture.recorder_net.handle_message(fixture.client_node, wire);
+    fixture.proofgen_net.handle_message(log_frame ? fixture.recorder_node : fixture.client_node,
+                                        wire);
+    fixture.sim.run_until(fixture.sim.now() + 5'000);
+  } catch (const std::exception& e) {
+    throw std::logic_error(std::string("node_control: a node threw: ") + e.what());
+  }
+}
+
+void register_node_control_target() {
+  sp::ProofBundleFrame bundle;
+  bundle.elector = NodeFixture::kRecorder;
+  bundle.commit_time = 20'000;
+  bundle.consumer = NodeFixture::kChecker;
+  bundle.round_count = 2;
+  bundle.root_matches = 1;
+  sp::ConsumerProofs consumer;
+  consumer.items.push_back({sb::Prefix::parse("10.0.0.0/8"), make_route("10.0.0.0/8", {5, 1000}),
+                            mtt_fixture().proof});
+  bundle.producer_proofs = sp::ProducerProofs{}.encode();
+  bundle.consumer_proofs = consumer.encode();
+
+  sp::InjectFrame inject;
+  inject.update.announced.push_back(make_route("10.20.0.0/16", {1000, 64496}));
+  inject.update.withdrawn.push_back(sb::Prefix::parse("10.30.0.0/16"));
+  su::ByteWriter token;
+  token.u64(9);
+  sp::ProofRequestFrame request;
+  request.elector = NodeFixture::kRecorder;
+  request.commit_time = 20'000;
+  request.consumer = NodeFixture::kChecker;
+  sp::LogSegmentFrame segment;
+  sp::LogEntry entry;
+  entry.timestamp = 15'000;
+  entry.peer_as = 1000;
+  entry.message = make_envelope(5, make_batch().encode()).encode();
+  segment.records = {entry.encode()};
+
+  const std::vector<sp::NodeFrame> frames = {
+      {sp::NodeFrameType::kCheckRequest, bundle.encode()},
+      {sp::NodeFrameType::kInject, inject.encode()},
+      {sp::NodeFrameType::kStatsRequest, token.take()},
+      {sp::NodeFrameType::kSubscribeCommits, {}},
+      {sp::NodeFrameType::kLogRequest, {}},
+      {sp::NodeFrameType::kProofRequest, request.encode()},
+      {sp::NodeFrameType::kLogSegment, segment.encode()},
+      {sp::NodeFrameType::kLogEnd, {}},
+      {sp::NodeFrameType::kEnvelope, make_envelope(2, make_batch().encode()).encode()},
+      {sp::NodeFrameType::kShutdown, {}},
+  };
+  Target target;
+  target.name = "node_control";
+  for (const sp::NodeFrame& frame : frames) {
+    Bytes input{static_cast<std::uint8_t>(static_cast<std::uint8_t>(frame.type) - 1)};
+    input.insert(input.end(), frame.body.begin(), frame.body.end());
+    target.corpus.push_back(std::move(input));
+  }
+  target.decode = node_control_check;
+  target.reencode = nullptr;
+  target.canonical = false;
+  registry().push_back(std::move(target));
+}
+
 /// Segmentation-independence oracle over the stream-frame reassembler: the
 /// input chooses a segmentation of a byte stream, which is replayed both
 /// in those segments and byte-at-a-time.  Frames are drained after every
@@ -584,6 +717,7 @@ void frame_reassembly_check(ByteSpan data) {
 
 void register_transport_targets() {
   register_node_wire_targets();
+  register_node_control_target();
 
   // Corpus: three framed payloads, split as 2 listed segments + remainder.
   Bytes stream;

@@ -1,89 +1,18 @@
 // Shared plumbing for the multi-process SPIDeR tools (spider_node,
-// spider_loadgen): the NodeFrame-wrapping endpoint adapter, the loopback
-// deployment's deterministic key scheme, peer-spec parsing, and dial/wait
-// helpers over the TCP transport's event loop.
+// spider_loadgen): peer-spec parsing and dial/wait helpers over the TCP
+// transport's event loop.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <memory>
-#include <set>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "core/vpref.hpp"
-#include "crypto/rsa.hpp"
-#include "spider/node_wire.hpp"
 #include "transport/tcp_transport.hpp"
 
 namespace spider::nodetool {
-
-/// transport::Endpoint adapter that wraps recorder envelope traffic in
-/// NodeFrame{kEnvelope} and routes every other frame type to a control
-/// handler.  The hosted Recorder sees exactly the frame bytes it would see
-/// over NetsimTransport; the process harness sees everything else.
-class NodeEndpoint final : public transport::Endpoint {
- public:
-  using ControlHandler = std::function<void(transport::PeerId, const proto::NodeFrame&)>;
-
-  explicit NodeEndpoint(transport::TcpTransport& tcp) : tcp_(tcp) {
-    tcp_.set_frame_handler([this](transport::PeerId from, util::ByteSpan frame) {
-      proto::NodeFrame node_frame;
-      try {
-        node_frame = proto::NodeFrame::decode(frame);
-      } catch (const util::DecodeError& e) {
-        std::fprintf(stderr, "dropping malformed node frame from peer %u: %s\n", from, e.what());
-        return;
-      }
-      if (node_frame.type == proto::NodeFrameType::kEnvelope) {
-        if (handler_) handler_(from, node_frame.body);
-      } else if (control_) {
-        control_(from, node_frame);
-      }
-    });
-  }
-
-  void set_frame_handler(FrameHandler handler) override { handler_ = std::move(handler); }
-  void set_control_handler(ControlHandler handler) { control_ = std::move(handler); }
-
-  bool send(transport::PeerId to, util::ByteSpan frame) override {
-    proto::NodeFrame node_frame{proto::NodeFrameType::kEnvelope,
-                                util::Bytes(frame.begin(), frame.end())};
-    return tcp_.send(to, node_frame.encode());
-  }
-
-  bool send_control(transport::PeerId to, proto::NodeFrameType type, util::ByteSpan body) {
-    proto::NodeFrame node_frame{type, util::Bytes(body.begin(), body.end())};
-    return tcp_.send(to, node_frame.encode());
-  }
-
-  void schedule_in(transport::Time delay, std::function<void()> fn) override {
-    tcp_.schedule_in(delay, std::move(fn));
-  }
-  transport::Time now() const override { return tcp_.now(); }
-
- private:
-  transport::TcpTransport& tcp_;
-  FrameHandler handler_;
-  ControlHandler control_;
-};
-
-/// Deterministic per-AS keys shared by every process of one loopback
-/// deployment (the keyed-hash test scheme; real deployments would load
-/// RPKI-rooted keys instead).
-inline util::Bytes key_of(std::uint32_t asn) {
-  std::string s = "spider-node-key-" + std::to_string(asn);
-  return util::Bytes(s.begin(), s.end());
-}
-
-inline void add_keys(core::KeyRegistry& keys, const std::set<std::uint32_t>& ases) {
-  for (std::uint32_t asn : ases) {
-    keys.add(asn, std::make_unique<crypto::HashVerifier>(key_of(asn)));
-  }
-}
 
 struct PeerSpec {
   std::uint32_t id = 0;

@@ -246,9 +246,10 @@ json::Object run_proof(const benchutil::BenchScale& scale) {
 
   auto proofs = generator.proofs_for_consumer(recon, 6);
   auto commit = deploy.recorder(6).received_commitments().at(5).at(record.timestamp);
+  const auto expected = proto::Checker::expectation(deploy.recorder(6), 5);
   util::WallTimer check_timer;
   auto detection = proto::Checker::check_consumer_proofs(
-      commit, 5, core::Promise::total_order(50), deploy.recorder(6).my_imports_from(5), proofs, 6,
+      commit, 5, core::Promise::total_order(50), expected.imports, proofs, 6,
       deploy.recorder(6).classifier());
   double check_seconds = check_timer.seconds();
 
@@ -299,25 +300,8 @@ json::Object run_functionality(const benchutil::BenchScale& scale) {
     deploy.run_replay(tr, start, 5 * netsim::kMicrosPerSecond);
     const auto& record = deploy.recorder(5).make_commitment();
     deploy.sim().run();
-    proto::ProofGenerator generator(deploy.recorder(5));
-    if (tamper) tamper(generator);
-    auto recon = generator.reconstruct(record.timestamp);
-
-    bool detected = false;
-    for (bgp::AsNumber neighbor : deploy.neighbors_of(5)) {
-      auto commit = deploy.recorder(neighbor).received_commitments().at(5).at(record.timestamp);
-      std::map<bgp::Prefix, std::vector<bgp::Route>> window;
-      for (const auto& [p, r] : deploy.recorder(neighbor).my_exports_to(5)) window[p] = {r};
-      auto d1 = proto::Checker::check_producer_proofs(
-          commit, 5, window, generator.proofs_for_producer(recon, neighbor),
-          deploy.recorder(neighbor).classifier());
-      auto d2 = proto::Checker::check_consumer_proofs(
-          commit, 5, deploy.recorder(5).promises().at(neighbor),
-          deploy.recorder(neighbor).my_imports_from(5),
-          generator.proofs_for_consumer(recon, neighbor), neighbor,
-          deploy.recorder(neighbor).classifier());
-      if (d1 || d2) detected = true;
-    }
+    if (tamper) tamper(deploy.proof_generator(5));
+    const bool detected = !proto::run_verification(deploy, 5, record.timestamp).clean();
     results.push_back(result_row(label, detected == expect_detection ? 1 : 0, "bool", "1"));
     return detected == expect_detection;
   };

@@ -34,10 +34,11 @@
 #include "bench_schema.hpp"
 #include "node_common.hpp"
 #include "obs/metrics.hpp"
+#include "spider/node_wire.hpp"
 #include "util/serde.hpp"
 
 using namespace spider;
-using nodetool::NodeEndpoint;
+using proto::NodeEndpoint;
 using nodetool::PeerSpec;
 using transport::PeerId;
 
