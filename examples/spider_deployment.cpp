@@ -1,18 +1,17 @@
 // Example: a full SPIDeR deployment on the paper's Figure-5 topology.
 //
 // Ten ASes, each with a BGP speaker and a SPIDeR recorder; a synthetic
-// RouteViews-style trace is injected at AS 2; AS 5 commits to its routing
-// decisions every minute.  After the replay we trigger verification for
-// AS 5's latest commitment: every neighbor replays its checker and — in
-// the second half — AS 5 is misconfigured to hide AS 2's routes, and AS 2
-// catches it.
+// RouteViews-style trace is injected at AS 2.  After the replay AS 5
+// commits to its routing decisions and we verify that commitment with
+// proto::run_verification: every neighbor runs its checker in both roles
+// and — in the second half — AS 5 is misconfigured to hide AS 2's routes,
+// and AS 2 catches it.
 //
 // Build & run:  ./build/examples/spider_deployment
 #include <cstdio>
 
-#include "spider/checker.hpp"
 #include "spider/deployment.hpp"
-#include "spider/proof_generator.hpp"
+#include "spider/verification.hpp"
 
 using namespace spider;
 
@@ -29,29 +28,18 @@ trace::RouteViewsTrace demo_trace() {
   return trace::generate(config);
 }
 
+/// One §6.1 verification session for AS 5's commitment, exactly as a
+/// deployment runs it: AS 5's own proof generator answers every neighbor,
+/// and each neighbor checks against the promise AS 5 made to it.
 void verify_as5(proto::Fig5Deployment& deploy, const proto::CommitmentRecord& record) {
-  proto::ProofGenerator generator(deploy.recorder(5));
-  auto recon = generator.reconstruct(record.timestamp);
-  std::printf("  reconstruction: root %s (%.2f s, %zu prefixes)\n",
-              recon.root_matches ? "matches" : "MISMATCH", recon.reconstruct_seconds,
-              recon.state.all_prefixes().size());
-
-  for (bgp::AsNumber neighbor : deploy.neighbors_of(5)) {
-    auto commit = deploy.recorder(neighbor).received_commitments().at(5).at(record.timestamp);
-    const auto& rec = deploy.recorder(neighbor);
-
-    std::map<bgp::Prefix, std::vector<bgp::Route>> window;
-    for (const auto& [prefix, route] : rec.my_exports_to(5)) window[prefix] = {route};
-    auto as_producer = proto::Checker::check_producer_proofs(
-        commit, 5, window, generator.proofs_for_producer(recon, neighbor), rec.classifier());
-
-    auto as_consumer = proto::Checker::check_consumer_proofs(
-        commit, 5, core::Promise::total_order(50), rec.my_imports_from(5),
-        generator.proofs_for_consumer(recon, neighbor), neighbor, rec.classifier());
-
-    std::printf("  AS%-2u producer-check: %-40s consumer-check: %s\n", neighbor,
-                as_producer ? as_producer->detail.c_str() : "ok",
-                as_consumer ? as_consumer->detail.c_str() : "ok");
+  const proto::VerificationReport report = proto::run_verification(deploy, 5, record.timestamp);
+  std::printf("  session: root %s (%.2f s, %zu proof bytes)\n",
+              report.root_matches ? "matches" : "MISMATCH", report.elapsed_seconds,
+              report.proof_bytes);
+  for (const proto::NeighborVerdict& verdict : report.verdicts) {
+    std::printf("  AS%-2u producer-check: %-40s consumer-check: %s\n", verdict.neighbor,
+                verdict.as_producer ? verdict.as_producer->detail.c_str() : "ok",
+                verdict.as_consumer ? verdict.as_consumer->detail.c_str() : "ok");
   }
 }
 

@@ -2,9 +2,11 @@
 //
 // Each entry names one way a faulty AS can break its SPIDeR obligations
 // (paper §5 fault classes, §6.3 evidence games, §7.4 fault injections),
-// the mechanism used to inject it into a deployment — fault knobs on the
-// recorder / proof generator, or forged verification-time material — and,
-// crucially, the core::FaultKind the checker is REQUIRED to emit for it.
+// the mechanism used to inject it into a deployment — a fault knob on the
+// recorder or proof generator, detected by the deployment's own §6.1
+// verification session, or (the two §6.3 entries) tampered evidence
+// quoted from a recorder's log — and, crucially, the core::FaultKind the
+// checker is REQUIRED to emit for it.
 // The detection matrix (matrix.hpp) asserts that tag cell by cell, and
 // spider_lint rule R8 refuses any catalog entry that does not declare one.
 #pragma once

@@ -52,7 +52,8 @@ const BenignProfile* find_profile(std::string_view name) {
 namespace {
 
 /// Stages the "before traffic" half of a misbehavior: faults that must be
-/// live while the trace flows (the rest are staged at verification time).
+/// live while the trace flows (generator faults are staged before
+/// verifying, by CellRunner::stage_generator_faults).
 void stage_traffic_faults(const CatalogEntry& entry, proto::Fig5Deployment& deploy) {
   switch (entry.id) {
     case Misbehavior::kOmittedInput:
@@ -81,22 +82,6 @@ void stage_traffic_faults(const CatalogEntry& entry, proto::Fig5Deployment& depl
   }
 }
 
-/// True when the entry's detection runs through a full run_verification
-/// session (the misbehavior is visible in the deployment itself).  The
-/// remaining entries forge material at verification time and call the
-/// relevant checker directly.
-bool uses_full_session(const CatalogEntry& entry) {
-  switch (entry.id) {
-    case Misbehavior::kEquivocation:
-    case Misbehavior::kOmittedInput:
-    case Misbehavior::kBrokenPromise:
-    case Misbehavior::kWithheldCommitment:
-      return true;
-    default:
-      return false;
-  }
-}
-
 struct CellRunner {
   proto::Fig5Deployment& deploy;
   CellResult& cell;
@@ -107,21 +92,47 @@ struct CellRunner {
     return t;
   }
 
-  proto::SpiderCommit commit_seen_by(bgp::AsNumber neighbor, Time t) {
-    return deploy.recorder(neighbor).received_commitments().at(5).at(t);
-  }
-
-  /// Producer-side window history: stable single values at quiescence.
-  std::map<bgp::Prefix, std::vector<bgp::Route>> window_of(bgp::AsNumber producer) {
-    std::map<bgp::Prefix, std::vector<bgp::Route>> out;
-    for (const auto& [prefix, route] : deploy.recorder(producer).my_exports_to(5)) {
-      out[prefix] = {route};
+  /// Stages the "before verifying" half of a misbehavior on AS 5's proof
+  /// generator, the one its verification session asks for proofs.
+  /// Returns the commitment time the session verifies.
+  Time stage_generator_faults(const CatalogEntry& entry, Time t) {
+    proto::ProofGenerator::Faults& faults = deploy.proof_generator(5).faults();
+    switch (entry.id) {
+      case Misbehavior::kTamperedBitProof:
+        // Class 0 is opened for every consumer item under a total-order
+        // promise (every offered route classifies to >= 1), so tampering
+        // it guarantees a touched proof.
+        faults.tamper_classes = {0};
+        break;
+      case Misbehavior::kWrongClassBit:
+        faults.misclassify_producer = true;
+        break;
+      case Misbehavior::kWithheldProof:
+        faults.withhold_producer_proofs = true;
+        break;
+      case Misbehavior::kStaleProof: {
+        // A second commitment round over unchanged state: the fresh seed
+        // yields a different root, so round-one proofs no longer open it.
+        deploy.sim().run_until(deploy.sim().now() + kSecond);
+        const Time t2 = commit_and_run();
+        faults.answer_from = t;
+        return t2;
+      }
+      case Misbehavior::kUnpropagatedWithdrawal: {
+        // §6.6: a producer withdrew a prefix AS 6 still holds from AS 5;
+        // the faulty elector drops it from the redistributed RE-ANNOUNCEs.
+        const auto imports = deploy.recorder(6).my_imports_from(5);
+        if (imports.empty()) {
+          cell.note = "consumer holds no imports";
+          break;
+        }
+        faults.hide_re_announce = {imports.begin()->first};
+        break;
+      }
+      default:
+        break;
     }
-    return out;
-  }
-
-  void emit(std::optional<core::Detection> detection) {
-    if (detection) cell.detections.push_back(std::move(*detection));
+    return t;
   }
 
   void collect(const proto::VerificationReport& report) {
@@ -137,58 +148,22 @@ struct CellRunner {
     }
   }
 
-  /// Benign cells and deployment-visible misbehaviors: one full §6.1
-  /// verification session, extended (§6.6) included.
-  void run_session() {
+  /// Commits, then verifies with one full §6.1 session, extended (§6.6)
+  /// included — except for the two §6.3 cells, whose misbehavior lives in
+  /// quoted evidence rather than in anything a session exchanges.
+  void run(const CatalogEntry* entry) {
     const Time t = commit_and_run();
-    collect(proto::run_verification(deploy, 5, t, /*extended=*/true));
+    if (entry != nullptr && (entry->id == Misbehavior::kInvalidSignature ||
+                             entry->id == Misbehavior::kFabricatedEvidence)) {
+      check_evidence(*entry, t);
+      return;
+    }
+    const Time verified = entry != nullptr ? stage_generator_faults(*entry, t) : t;
+    collect(proto::run_verification(deploy, 5, verified, /*extended=*/true));
   }
 
-  void run_forged(const CatalogEntry& entry) {
-    const Time t = commit_and_run();
-    proto::ProofGenerator generator(deploy.recorder(5));
-    const auto& classifier = deploy.recorder(5).classifier();
+  void check_evidence(const CatalogEntry& entry, Time t) {
     switch (entry.id) {
-      case Misbehavior::kTamperedBitProof: {
-        // Class 0 is opened for every consumer item under a total-order
-        // promise (every offered route classifies to >= 1), so tampering
-        // it guarantees a touched proof.
-        generator.faults().tamper_classes = {0};
-        auto recon = generator.reconstruct(t);
-        auto proofs = generator.proofs_for_consumer(recon, 6);
-        emit(proto::Checker::check_consumer_proofs(commit_seen_by(6, t), 5,
-                                                   deploy.recorder(5).promises().at(6),
-                                                   deploy.recorder(6).my_imports_from(5), proofs,
-                                                   6, classifier));
-        break;
-      }
-      case Misbehavior::kWrongClassBit: {
-        generator.faults().misclassify_producer = true;
-        auto recon = generator.reconstruct(t);
-        auto proofs = generator.proofs_for_producer(recon, 2);
-        emit(proto::Checker::check_producer_proofs(commit_seen_by(2, t), 5, window_of(2), proofs,
-                                                   classifier));
-        break;
-      }
-      case Misbehavior::kStaleProof: {
-        // A second commitment round over unchanged state: the fresh seed
-        // yields a different root, so round-one proofs no longer open it.
-        deploy.sim().run_until(deploy.sim().now() + kSecond);
-        const Time t2 = commit_and_run();
-        auto recon = generator.reconstruct(t);
-        auto proofs = generator.proofs_for_producer(recon, 2);
-        emit(proto::Checker::check_producer_proofs(commit_seen_by(2, t2), 5, window_of(2), proofs,
-                                                   classifier));
-        break;
-      }
-      case Misbehavior::kWithheldProof: {
-        generator.faults().withhold_producer_proofs = true;
-        auto recon = generator.reconstruct(t);
-        auto proofs = generator.proofs_for_producer(recon, 2);
-        emit(proto::Checker::check_producer_proofs(commit_seen_by(2, t), 5, window_of(2), proofs,
-                                                   classifier));
-        break;
-      }
       case Misbehavior::kInvalidSignature: {
         // AS 2 presents import evidence whose quoted batch signature
         // bytes were tampered: extraction fails, the claim is void.
@@ -245,25 +220,6 @@ struct CellRunner {
               {core::FaultKind::kMalformedMessage, 5,
                "evidence-of-export claims a time before the quoted announce existed"});
         }
-        break;
-      }
-      case Misbehavior::kUnpropagatedWithdrawal: {
-        // §6.6: producers withdraw a prefix AS 6 still relies on; a
-        // faulty elector drops it from the redistributed RE-ANNOUNCEs.
-        auto imports_before = deploy.recorder(6).my_imports_from(5);
-        if (imports_before.empty()) {
-          cell.note = "consumer holds no imports";
-          break;
-        }
-        const bgp::Prefix victim = imports_before.begin()->first;
-        std::vector<proto::SpiderAnnounce> selected;
-        for (bgp::AsNumber producer : deploy.neighbors_of(5)) {
-          auto set = proto::build_re_announce_set(deploy.recorder(producer), 5, t);
-          for (auto& announce : set.announcements) {
-            if (!(announce.route.prefix == victim)) selected.push_back(std::move(announce));
-          }
-        }
-        emit(proto::Checker::check_re_announcements(5, imports_before, selected));
         break;
       }
       default:
@@ -339,11 +295,7 @@ CellResult run_cell(const CatalogEntry* entry, const BenignProfile& profile, std
 
   CellRunner runner{deploy, cell};
   try {
-    if (!entry || uses_full_session(*entry)) {
-      runner.run_session();
-    } else {
-      runner.run_forged(*entry);
-    }
+    runner.run(entry);
   } catch (const std::exception& e) {
     cell.pass = false;
     cell.note = std::string("cell aborted: ") + e.what();

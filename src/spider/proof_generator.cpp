@@ -195,6 +195,7 @@ ProofGenerator::ReconKey ProofGenerator::recon_key(Time commit_time) const {
 
 std::shared_ptr<const ProofGenerator::Reconstruction> ProofGenerator::reconstruction(
     Time commit_time, unsigned threads, bool* cache_hit) {
+  if (faults_.answer_from) commit_time = *faults_.answer_from;
   ReconKey key = recon_key(commit_time);
   auto it = std::find_if(recon_cache_.begin(), recon_cache_.end(),
                          [&](const auto& entry) { return entry.first.commit_time == commit_time; });
@@ -313,6 +314,9 @@ std::vector<SpiderAnnounce> ProofGenerator::select_re_announcements(
   if (exports_it == recon.state.exports().end()) return selected;
 
   for (const auto& [prefix, record] : bgp::subtree_of(exports_it->second, within)) {
+    if (!faults_.hide_re_announce.empty() && faults_.hide_re_announce.count(prefix) != 0) {
+      continue;
+    }
     bgp::Route underlying = underlying_route(record.route, recorder_.config().asn);
     if (underlying.as_path.empty()) continue;  // locally originated
     for (const ReAnnounceSet& set : sets) {

@@ -85,6 +85,15 @@ class ProofGenerator {
     /// at all (the checker treats a proof absent past the verification
     /// deadline as withheld).
     bool withhold_producer_proofs = false;
+    /// "Stale proof": reconstruction() answers for every commitment with
+    /// the tree of this earlier one.  The time is substituted before the
+    /// cache key is derived, so a session on round t2 proves round t's
+    /// tree, whose proofs no longer open t2's freshly seeded root (§6.5).
+    std::optional<Time> answer_from;
+    /// "Unpropagated withdrawal": select_re_announcements() drops these
+    /// prefixes, so consumers never see the producer's RE-ANNOUNCE and a
+    /// route they still hold goes uncovered (§6.6).
+    std::set<bgp::Prefix> hide_re_announce;
   };
 
   explicit ProofGenerator(const Recorder& recorder) : recorder_(recorder) {}
@@ -117,6 +126,7 @@ class ProofGenerator {
   /// Throws exactly as reconstruct() does.  `cache_hit` (optional)
   /// reports whether the result was served without rebuilding.  Unlike
   /// the const proof methods it mutates the cache: one caller at a time.
+  /// Faults::answer_from, when set, replaces `commit_time` first.
   std::shared_ptr<const Reconstruction> reconstruction(Time commit_time, unsigned threads = 1,
                                                        bool* cache_hit = nullptr);
 

@@ -226,21 +226,27 @@ TEST(ChaosMatrix, ByzantineCellDetectsDeclaredClass) {
 }
 
 TEST(ChaosMatrix, CellsAreDeterministic) {
-  const sch::CatalogEntry* entry = sch::find_entry("equivocation");
-  ASSERT_NE(entry, nullptr);
-  const sch::BenignProfile& profile = *sch::find_profile("light");
-  const sch::CellResult first = sch::run_cell(entry, profile, 2, small_options());
-  const sch::CellResult second = sch::run_cell(entry, profile, 2, small_options());
-  ASSERT_EQ(first.detections.size(), second.detections.size());
-  for (std::size_t i = 0; i < first.detections.size(); ++i) {
-    EXPECT_EQ(first.detections[i].kind, second.detections[i].kind);
-    EXPECT_EQ(first.detections[i].accused, second.detections[i].accused);
-    EXPECT_EQ(first.detections[i].detail, second.detections[i].detail);
+  // stale-proof advances simulated time and commits twice before its
+  // session runs, so it covers a second commitment round.
+  for (const char* name : {"equivocation", "stale-proof"}) {
+    SCOPED_TRACE(name);
+    const sch::CatalogEntry* entry = sch::find_entry(name);
+    ASSERT_NE(entry, nullptr);
+    const sch::BenignProfile& profile = *sch::find_profile("light");
+    const sch::CellResult first = sch::run_cell(entry, profile, 2, small_options());
+    const sch::CellResult second = sch::run_cell(entry, profile, 2, small_options());
+    EXPECT_TRUE(first.pass) << first.note;
+    ASSERT_EQ(first.detections.size(), second.detections.size());
+    for (std::size_t i = 0; i < first.detections.size(); ++i) {
+      EXPECT_EQ(first.detections[i].kind, second.detections[i].kind);
+      EXPECT_EQ(first.detections[i].accused, second.detections[i].accused);
+      EXPECT_EQ(first.detections[i].detail, second.detections[i].detail);
+    }
+    EXPECT_EQ(first.faults.dropped, second.faults.dropped);
+    EXPECT_EQ(first.faults.duplicated, second.faults.duplicated);
+    EXPECT_EQ(first.faults.delayed, second.faults.delayed);
+    EXPECT_EQ(first.pass, second.pass);
   }
-  EXPECT_EQ(first.faults.dropped, second.faults.dropped);
-  EXPECT_EQ(first.faults.duplicated, second.faults.duplicated);
-  EXPECT_EQ(first.faults.delayed, second.faults.delayed);
-  EXPECT_EQ(first.pass, second.pass);
 }
 
 // The default matrix's verdicts and attributions are pinned by a golden

@@ -63,13 +63,9 @@ struct World {
     return deploy.recorder(neighbor).received_commitments().at(5).at(t);
   }
 
-  /// The producer-side window history: stable single values in these tests.
+  /// The producer-side window `producer`'s checker expects AS 5 to prove.
   std::map<sb::Prefix, std::vector<sb::Route>> window_of(sb::AsNumber producer) {
-    std::map<sb::Prefix, std::vector<sb::Route>> out;
-    for (const auto& [prefix, route] : deploy.recorder(producer).my_exports_to(5)) {
-      out[prefix] = {route};
-    }
-    return out;
+    return sp::Checker::expectation(deploy.recorder(producer), 5).window;
   }
 };
 

@@ -69,6 +69,15 @@ struct EngineWorld {
   }
 };
 
+/// Commits AS 5 again one simulated second later, over unchanged state:
+/// the fresh seed gives the new round a different root.
+sn::Time commit_again(EngineWorld& world) {
+  world.deploy.sim().run_until(world.deploy.sim().now() + kSecond);
+  const sn::Time t = world.deploy.recorder(5).make_commitment().timestamp;
+  world.deploy.sim().run();
+  return t;
+}
+
 void expect_same_detection(const std::optional<sc::Detection>& a,
                            const std::optional<sc::Detection>& b, const char* what) {
   ASSERT_EQ(a.has_value(), b.has_value()) << what;
@@ -110,6 +119,13 @@ void run_differential(EngineWorld& world, bool expect_clean) {
   EXPECT_EQ(seq.stats.bytes_deduped, 0u);
   // And both sides check the same number of proofs.
   EXPECT_EQ(seq.stats.proofs_checked, pip.stats.proofs_checked);
+
+  // Rounds small enough that every neighbor role spans several chunks:
+  // the per-round first detections must merge to the sequential one.
+  sv::SessionConfig chunked = sv::pipelined_config();
+  chunked.round_prefixes = 32;
+  auto small = sv::run_session(world.deploy, 5, world.commit_time, chunked, /*extended=*/true);
+  expect_identical_reports(seq.report, small.report);
 }
 
 }  // namespace
@@ -156,6 +172,56 @@ TEST(VerifyEngineDifferential, BrokenPromise) {
     deploy.recorder(5).set_promise(6, never_long);
   });
   run_differential(world, /*expect_clean=*/false);
+}
+
+// Misbehavior of the elector's proof generator, staged on the generator
+// the session itself asks for proofs (as the chaos matrix stages it).
+
+TEST(VerifyEngineDifferential, TamperedBitProof) {
+  EngineWorld world;
+  world.deploy.proof_generator(5).faults().tamper_classes = {0};
+  run_differential(world, /*expect_clean=*/false);
+}
+
+TEST(VerifyEngineDifferential, WrongClassBit) {
+  EngineWorld world;
+  world.deploy.proof_generator(5).faults().misclassify_producer = true;
+  run_differential(world, /*expect_clean=*/false);
+}
+
+TEST(VerifyEngineDifferential, WithheldProof) {
+  EngineWorld world;
+  world.deploy.proof_generator(5).faults().withhold_producer_proofs = true;
+  run_differential(world, /*expect_clean=*/false);
+}
+
+TEST(VerifyEngineDifferential, HiddenReAnnounce) {
+  EngineWorld world;
+  const auto imports = world.deploy.recorder(6).my_imports_from(5);
+  ASSERT_FALSE(imports.empty());
+  world.deploy.proof_generator(5).faults().hide_re_announce = {imports.begin()->first};
+  run_differential(world, /*expect_clean=*/false);
+}
+
+TEST(VerifyEngineDifferential, StaleAnswer) {
+  EngineWorld world;
+  const sn::Time first = world.commit_time;
+  world.commit_time = commit_again(world);
+  world.deploy.proof_generator(5).faults().answer_from = first;
+  run_differential(world, /*expect_clean=*/false);
+  // Round one's tree still matches round one's root; its proofs fail
+  // against the round-two root every neighbor holds.
+  auto report = sp::run_verification(world.deploy, 5, world.commit_time);
+  EXPECT_TRUE(report.root_matches);
+  std::size_t findings = 0;
+  for (const auto& verdict : report.verdicts) {
+    for (const auto& detection : {verdict.as_producer, verdict.as_consumer}) {
+      if (!detection) continue;
+      ++findings;
+      EXPECT_EQ(detection->kind, sc::FaultKind::kInvalidBitProof) << detection->detail;
+    }
+  }
+  EXPECT_GT(findings, 0u);
 }
 
 TEST(VerifyEngineDifferential, RsaSchemeWithBatching) {
@@ -366,13 +432,8 @@ TEST(ReconstructionCache, ChangedIgnoreInputsRebuilds) {
 
 TEST(ReconstructionCache, ThirdCommitmentEvictsTheOldest) {
   EngineWorld world;
-  auto& rec = world.deploy.recorder(5);
   std::vector<sn::Time> times = {world.commit_time};
-  for (int i = 0; i < 2; ++i) {
-    world.deploy.sim().run_until(world.deploy.sim().now() + kSecond);
-    times.push_back(rec.make_commitment().timestamp);
-    world.deploy.sim().run();
-  }
+  for (int i = 0; i < 2; ++i) times.push_back(commit_again(world));
   ASSERT_EQ(sp::ProofGenerator::kReconCacheCapacity, 2u);
   auto& generator = world.deploy.proof_generator(5);
   bool hit = true;
@@ -389,6 +450,26 @@ TEST(ReconstructionCache, ThirdCommitmentEvictsTheOldest) {
   EXPECT_FALSE(hit);
   EXPECT_TRUE(rebuilt->root_matches);
   EXPECT_EQ(rebuilt->commit_time, times[0]);
+}
+
+TEST(ReconstructionCache, ClearedStaleAnswerRebuilds) {
+  EngineWorld world;
+  const sn::Time t2 = commit_again(world);
+  auto& generator = world.deploy.proof_generator(5);
+  generator.faults().answer_from = world.commit_time;
+  bool hit = true;
+  auto stale = generator.reconstruction(t2, 1, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(stale->commit_time, world.commit_time);
+
+  // The substituted time keyed the cached tree, so clearing the fault
+  // must not serve it for t2.
+  generator.faults().answer_from.reset();
+  auto fresh = generator.reconstruction(t2, 1, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(fresh->commit_time, t2);
+  EXPECT_TRUE(fresh->root_matches);
+  EXPECT_NE(fresh->tree.root_label(), stale->tree.root_label());
 }
 
 TEST(SubtreeSession, ReAnnounceFaultsStayInsideTheirSubtree) {

@@ -1,7 +1,7 @@
 // spider_lint CLI: walks src/ and tools/ under --root, runs the
 // per-file R1-R10 matchers and the model extraction in parallel (one
 // task per file on a util::ThreadPool), then the cross-file passes (R4
-// registry check, R11-R14 taint analysis) serially, and prints
+// registry check, R11-R15 taint analysis) serially, and prints
 // `path:line: RN: message` per finding.  Output is sorted and
 // byte-identical regardless of --jobs.  Exit status is the number of
 // findings (capped at 125) so both `ctest` and CI treat a dirty tree as
@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
     return 125;
   }
 
-  // ---- R11-R14: interprocedural taint ----------------------------------
+  // ---- R11-R15: interprocedural taint ----------------------------------
   {
     std::vector<lint::Finding> taint_findings =
         lint::taint::run_taint(std::move(models));

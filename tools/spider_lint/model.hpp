@@ -1,4 +1,4 @@
-// Phase 1 of the taint pass (rules R11-R14): a lightweight per-TU model
+// Phase 1 of the taint pass (rules R11-R15): a lightweight per-TU model
 // extracted from the token stream — function definitions and declarations
 // (with owner class, parameter names/types and body token ranges), member
 // fields with their declared types, type definitions, and the
