@@ -207,9 +207,7 @@ Mtt Mtt::build(std::vector<std::pair<bgp::Prefix, std::vector<bool>>> entries,
     if (bits.size() != num_classes) {
       throw std::invalid_argument("Mtt: wrong bit count for " + prefix.str());
     }
-    MttUpdate update{prefix, std::move(bits)};
-    std::vector<bgp::Prefix> touched;
-    tree.apply_structural(update, touched);
+    tree.apply_structural(MttUpdate{prefix, std::move(bits)});
   }
   SPIDER_OBS_COUNT("core/mtt_builds", 1);
   SPIDER_OBS_COUNT("core/mtt_prefix_nodes", tree.prefix_nodes_.size());
@@ -261,7 +259,7 @@ std::optional<std::uint32_t> Mtt::find_prefix(const bgp::Prefix& prefix) const {
 
 // ---------------------------------------------------------------- updates
 
-void Mtt::apply_structural(const MttUpdate& update, std::vector<bgp::Prefix>& touched) {
+void Mtt::apply_structural(const MttUpdate& update) {
   const bgp::Prefix& prefix = update.prefix;
   if (update.bits) {
     if (update.bits->size() != num_classes_) {
@@ -295,7 +293,6 @@ void Mtt::apply_structural(const MttUpdate& update, std::vector<bgp::Prefix>& to
       --dummy_count_;
       write_bits(pi, *update.bits);
     }
-    touched.push_back(prefix);
     return;
   }
 
@@ -334,14 +331,12 @@ void Mtt::apply_structural(const MttUpdate& update, std::vector<bgp::Prefix>& to
     inner_[parent].child[slot] = 0;
     ++dummy_count_;
   }
-  touched.push_back(prefix);
 }
 
 void Mtt::apply(const std::vector<MttUpdate>& updates) {
   SPIDER_OBS_SPAN(apply_span, "core/mtt_apply");
   labels_done_ = false;
-  std::vector<bgp::Prefix> touched;
-  for (const MttUpdate& update : updates) apply_structural(update, touched);
+  for (const MttUpdate& update : updates) apply_structural(update);
   SPIDER_OBS_COUNT("core/mtt_apply_runs", 1);
   SPIDER_OBS_COUNT("core/mtt_apply_updates", updates.size());
 }
@@ -349,34 +344,13 @@ void Mtt::apply(const std::vector<MttUpdate>& updates) {
 // -------------------------------------------------------------- labeling
 
 void Mtt::label_prefix_ids(const std::uint32_t* ids, std::size_t n,
-                           const crypto::CommitmentPrf& prf, bool multilane,
-                           std::uint64_t& hashes) {
+                           const crypto::CommitmentPrf& prf, std::uint64_t& hashes) {
   const std::uint32_t k = num_classes_;
-  if (!multilane) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t id = ids[i];
-      const std::uint64_t base = static_cast<std::uint64_t>(id) * k;
-      crypto::Sha512 h;
-      for (std::uint32_t c = 0; c < k; ++c) {
-        Digest20 leaf =
-            bit_leaf_hash(stored_bit(base + c), prf.bit_randomness(bit_prf_index(prefix_nodes_[id], c)));
-        hashes += 2;  // PRF derivation + leaf hash
-        h.update(ByteSpan{leaf.data(), leaf.size()});
-      }
-      auto full = h.finish();
-      hashes += 1;
-      Digest20 out{};
-      std::copy(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(out.size()),
-                out.begin());
-      prefix_labels_[id] = out;
-    }
-    return;
-  }
-  // Batched: derive all x values for a chunk of prefix nodes, hash all
-  // their leaves, then hash the per-node leaf concatenations — three
+  // Derive all x values for a chunk of prefix nodes, hash all their
+  // leaves, then hash the per-node leaf concatenations — three
   // digest20_batch calls of uniform-length messages, so the SHA-512 lanes
-  // stay full.  Labels and hash accounting are identical to the scalar
-  // path (2 hashes per bit, 1 per prefix node).
+  // stay full.  Hash accounting counts one hash per PRF derivation, leaf
+  // and prefix label (2 per bit, 1 per prefix node).
   constexpr std::size_t kNodeChunk = 16;
   const std::size_t max_bits = kNodeChunk * k;
   std::vector<std::uint64_t> indices(max_bits);
@@ -425,30 +399,13 @@ Digest20 Mtt::child_label(std::uint32_t inner_index, int slot,
   throw std::logic_error("Mtt: unassigned child slot");
 }
 
-std::uint64_t Mtt::relabel_inner(std::uint32_t inner_index, const crypto::CommitmentPrf& prf) {
-  const Inner& node = inner_[inner_index];
-  std::uint64_t hashes = 1;  // the combining hash
-  for (std::size_t s = 0; s < 3; ++s) {
-    if (node.kind[s] == ChildKind::kDummy) ++hashes;  // PRF derivation per dummy child
-  }
-  inner_labels_[inner_index] = mtt_combine_children(child_label(inner_index, kSlot0, prf),
-                                                    child_label(inner_index, kSlot1, prf),
-                                                    child_label(inner_index, kSlotE, prf));
-  return hashes;
-}
-
 void Mtt::label_inner_ids(const std::uint32_t* ids, std::size_t n,
-                          const crypto::CommitmentPrf& prf, bool multilane,
-                          std::uint64_t& hashes) {
-  if (!multilane) {
-    for (std::size_t i = 0; i < n; ++i) hashes += relabel_inner(ids[i], prf);
-    return;
-  }
-  // Batched: lay out each node's c0 || c1 || cE message, deriving every
-  // dummy child of the chunk with one PRF batch call, then hash the
-  // chunk's 60-byte messages with one fixed-length lane call.  Labels and
-  // hash accounting are identical to relabel_inner (one combining hash
-  // plus one PRF derivation per dummy child).
+                          const crypto::CommitmentPrf& prf, std::uint64_t& hashes) {
+  // Lay out each node's c0 || c1 || cE message, deriving every dummy child
+  // of the chunk with one PRF batch call, then hash the chunk's 60-byte
+  // messages with one fixed-length lane call.  Labels equal
+  // mtt_combine_children over child_label(); hash accounting counts one
+  // combining hash plus one PRF derivation per dummy child.
   constexpr std::size_t kNodeChunk = 64;
   constexpr std::size_t kLabel = sizeof(Digest20);
   constexpr std::size_t kMsg = 3 * kLabel;
@@ -491,7 +448,7 @@ void Mtt::label_inner_ids(const std::uint32_t* ids, std::size_t n,
   }
 }
 
-void Mtt::compute_labels(const crypto::CommitmentPrf& prf, unsigned threads, bool multilane) {
+void Mtt::compute_labels(const crypto::CommitmentPrf& prf, unsigned threads) {
   SPIDER_OBS_SPAN(label_span, "core/mtt_label");
   util::WallTimer label_timer;
   // Invalidate first: a throw mid-labeling must never leave the previous
@@ -518,7 +475,7 @@ void Mtt::compute_labels(const crypto::CommitmentPrf& prf, unsigned threads, boo
   shard_range(pool_ptr, prefix_ids.size(), 256, chunks,
               [&](std::size_t start, std::size_t end) {
                 std::uint64_t hashes = 0;
-                label_prefix_ids(prefix_ids.data() + start, end - start, prf, multilane, hashes);
+                label_prefix_ids(prefix_ids.data() + start, end - start, prf, hashes);
                 hash_count += hashes;
                 submitted += 1;
               });
@@ -538,7 +495,7 @@ void Mtt::compute_labels(const crypto::CommitmentPrf& prf, unsigned threads, boo
     const std::vector<std::uint32_t>& ids = levels[depth];
     shard_range(pool_ptr, ids.size(), 1024, chunks, [&](std::size_t start, std::size_t end) {
       std::uint64_t hashes = 0;
-      label_inner_ids(ids.data() + start, end - start, prf, multilane, hashes);
+      label_inner_ids(ids.data() + start, end - start, prf, hashes);
       hash_count += hashes;
     });
   }
@@ -553,94 +510,6 @@ void Mtt::compute_labels(const crypto::CommitmentPrf& prf, unsigned threads, boo
                   obs::latency_buckets_micros());
 }
 
-std::uint64_t Mtt::apply(const std::vector<MttUpdate>& updates, const crypto::CommitmentPrf& prf,
-                         unsigned threads, bool multilane) {
-  if (!labels_done_) {
-    throw std::logic_error("Mtt::apply: labels not computed; run compute_labels first");
-  }
-  SPIDER_OBS_SPAN(apply_span, "core/mtt_apply");
-  util::WallTimer apply_timer;
-  // Invalidate across the structural+relabel window: a throw part-way
-  // through must never leave the previous root servable.
-  labels_done_ = false;
-
-  std::vector<bgp::Prefix> touched;
-  for (const MttUpdate& update : updates) apply_structural(update, touched);
-
-  // The arena may have grown; labels of surviving nodes stay valid in place.
-  if (inner_labels_.size() < inner_.size()) inner_labels_.resize(inner_.size());
-  if (prefix_labels_.size() < prefix_nodes_.size()) prefix_labels_.resize(prefix_nodes_.size());
-
-  // Dirty closure, computed against the *final* structure: every touched
-  // prefix dirties the inner nodes on its root path (for a removed prefix
-  // the walk stops where the path was pruned — the stopping node is
-  // exactly the one that gained a dummy child) plus its prefix node when
-  // it still exists with changed bits.
-  std::vector<std::uint32_t> dirty_prefix;
-  std::vector<std::uint32_t> dirty_inner;
-  for (const bgp::Prefix& prefix : touched) {
-    std::uint32_t node = 0;
-    bool on_tree = true;
-    for (std::uint8_t depth = 0; depth < prefix.length(); ++depth) {
-      dirty_inner.push_back(node);
-      const Inner& inner = inner_[node];
-      const std::size_t slot = prefix.bit(depth) ? kSlot1 : kSlot0;
-      if (inner.kind[slot] != ChildKind::kInner) {
-        on_tree = false;
-        break;
-      }
-      node = inner.child[slot];
-    }
-    if (!on_tree) continue;
-    dirty_inner.push_back(node);
-    if (inner_[node].kind[kSlotE] == ChildKind::kPrefix) {
-      dirty_prefix.push_back(inner_[node].child[kSlotE]);
-    }
-  }
-  std::sort(dirty_prefix.begin(), dirty_prefix.end());
-  dirty_prefix.erase(std::unique(dirty_prefix.begin(), dirty_prefix.end()), dirty_prefix.end());
-  std::sort(dirty_inner.begin(), dirty_inner.end());
-  dirty_inner.erase(std::unique(dirty_inner.begin(), dirty_inner.end()), dirty_inner.end());
-
-  std::atomic<std::uint64_t> hash_count{0};
-  std::optional<util::ThreadPool> pool;
-  if (threads > 1 && (dirty_prefix.size() >= 256 || dirty_inner.size() >= 1024)) {
-    pool.emplace(threads);
-  }
-  util::ThreadPool* pool_ptr = pool ? &*pool : nullptr;
-  const std::size_t chunks = static_cast<std::size_t>(threads) * 8;
-
-  shard_range(pool_ptr, dirty_prefix.size(), 256, chunks,
-              [&](std::size_t start, std::size_t end) {
-                std::uint64_t hashes = 0;
-                label_prefix_ids(dirty_prefix.data() + start, end - start, prf, multilane, hashes);
-                hash_count += hashes;
-              });
-
-  // Dirty inner nodes bottom-up by depth, sharded within each level.
-  std::array<std::vector<std::uint32_t>, 33> levels;
-  for (std::uint32_t id : dirty_inner) levels[inner_depth_[id]].push_back(id);
-  for (std::size_t depth = levels.size(); depth-- > 0;) {
-    const std::vector<std::uint32_t>& ids = levels[depth];
-    shard_range(pool_ptr, ids.size(), 1024, chunks, [&](std::size_t start, std::size_t end) {
-      std::uint64_t hashes = 0;
-      label_inner_ids(ids.data() + start, end - start, prf, multilane, hashes);
-      hash_count += hashes;
-    });
-  }
-
-  label_hashes_ = hash_count.load();
-  labels_done_ = true;
-  SPIDER_OBS_COUNT("core/mtt_apply_runs", 1);
-  SPIDER_OBS_COUNT("core/mtt_apply_updates", updates.size());
-  SPIDER_OBS_COUNT("core/mtt_apply_dirty_nodes", dirty_prefix.size() + dirty_inner.size());
-  SPIDER_OBS_COUNT("core/mtt_apply_hashes", label_hashes_);
-  SPIDER_OBS_HIST("core/mtt_apply_micros",
-                  static_cast<std::uint64_t>(apply_timer.seconds() * 1e6),
-                  obs::latency_buckets_micros());
-  return label_hashes_;
-}
-
 const Digest20& Mtt::root_label() const {
   if (!labels_done_) throw std::logic_error("Mtt: labels not computed");
   return inner_labels_[0];
@@ -651,11 +520,6 @@ const Digest20& Mtt::root_label() const {
 MttProofMemo::Stats MttProofMemo::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
-}
-
-MttPrefixProof Mtt::prove(const crypto::CommitmentPrf& prf, const bgp::Prefix& prefix,
-                          const std::vector<ClassId>& classes) const {
-  return prove(prf, prefix, classes, nullptr);
 }
 
 MttPrefixProof Mtt::prove(const crypto::CommitmentPrf& prf, const bgp::Prefix& prefix,

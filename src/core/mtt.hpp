@@ -19,11 +19,13 @@
 // PRF indexing is *content-addressed*: the x value of a bit node is derived
 // from (prefix, class) and a dummy node's label from its trie position
 // (path bits, depth, child slot) — never from allocation order.  The root
-// is therefore a pure function of (seed, contents): a tree grown
-// incrementally through any sequence of apply() calls labels identically
-// to one built fresh from the same final table, which is what lets the
-// proof generator reproduce commitment roots by checkpoint + replay
-// regardless of how the live recorder's tree evolved (§6.5).
+// is therefore a pure function of (seed, contents): a tree whose structure
+// was grown through any sequence of apply() calls labels identically to
+// one built fresh from the same final table, which is what lets the proof
+// generator reproduce commitment roots by checkpoint + replay regardless
+// of how the live recorder's tree evolved (§6.5).  Every commitment has a
+// fresh seed, so every commitment relabels the whole tree: compute_labels()
+// is the one labeling entry point.
 //
 // Representation notes: nodes live in flat arena arrays with 32-bit
 // indices (freed slots are recycled through free lists, so update churn
@@ -148,7 +150,7 @@ class MttProofMemo {
   Stats stats_;
 };
 
-/// One element of an incremental update batch: insert-or-replace the
+/// One element of a structural update batch (Mtt::apply): insert-or-replace the
 /// prefix's bits, or (bits == nullopt) remove the prefix.  Removing an
 /// absent prefix and re-writing unchanged bits are no-ops, so callers can
 /// feed their dirty set without first diffing against the tree.
@@ -193,33 +195,22 @@ class Mtt {
   /// Bytes used by the structure arrays, bitmap and materialized labels.
   std::size_t memory_bytes() const;
 
-  /// Labels every node bottom-up; `threads` > 1 splits both the dominant
-  /// prefix-label phase and the per-depth inner-label levels across a
-  /// thread pool (paper §7.1: "we break the MTT into subtrees that are
-  /// each labeled completely by one of the threads").  `multilane` runs
-  /// every labeling hash — prefix and inner phases alike — through the
-  /// multi-lane SHA-512 batcher (crypto/sha2_multi.hpp): same labels, same
-  /// hash accounting, several digests per compression call.  Pass false
-  /// to force the fully scalar path (the differential battery compares
-  /// the two).  Any previously computed labels are invalidated on entry,
-  /// so a failed run can never serve a stale root.
-  void compute_labels(const crypto::CommitmentPrf& prf, unsigned threads = 1,
-                      bool multilane = true);
+  /// Labels every node bottom-up under `prf`; the one labeling entry
+  /// point, run once per commitment (each has a fresh seed, §6.5).
+  /// `threads` > 1 splits both the dominant prefix-label phase and the
+  /// per-depth inner-label levels across a thread pool (paper §7.1: "we
+  /// break the MTT into subtrees that are each labeled completely by one
+  /// of the threads").  Every labeling hash runs through the multi-lane
+  /// SHA-512 batcher (crypto/sha2_multi.hpp), several digests per
+  /// compression call.  Any previously computed labels are invalidated on
+  /// entry, so a failed run can never serve a stale root.
+  void compute_labels(const crypto::CommitmentPrf& prf, unsigned threads = 1);
 
   /// Applies `updates` to the structure only: labels are invalidated and
   /// must be recomputed (compute_labels) before the next root_label() or
-  /// prove().  Used when the commitment seed rotates — the structure
-  /// survives, the labeling starts over.
+  /// prove().  The recorder's commit path: the structure survives between
+  /// commitments, the labeling starts over under each new seed.
   void apply(const std::vector<MttUpdate>& updates);
-
-  /// Applies `updates` and relabels incrementally under `prf`, which MUST
-  /// be the same PRF the current labels were computed with (the tree
-  /// cannot verify this; mixing seeds silently corrupts the root).  Only
-  /// touched prefix nodes and the inner nodes on their root paths rehash —
-  /// O(churn · depth), not O(table).  Returns the number of hash
-  /// evaluations performed (also available via last_label_hashes()).
-  std::uint64_t apply(const std::vector<MttUpdate>& updates, const crypto::CommitmentPrf& prf,
-                      unsigned threads = 1, bool multilane = true);
 
   bool labels_computed() const { return labels_done_; }
   const Digest20& root_label() const;
@@ -234,18 +225,16 @@ class Mtt {
   /// repeat proves of one prefix skip the PRF and digest work; the
   /// returned proof is bit-identical with and without the memo.
   MttPrefixProof prove(const crypto::CommitmentPrf& prf, const bgp::Prefix& prefix,
-                       const std::vector<ClassId>& classes) const;
-  MttPrefixProof prove(const crypto::CommitmentPrf& prf, const bgp::Prefix& prefix,
-                       const std::vector<ClassId>& classes, MttProofMemo* memo) const;
+                       const std::vector<ClassId>& classes, MttProofMemo* memo = nullptr) const;
 
   /// Verifies a proof against a root label.  Checks every revealed bit and
   /// the Merkle path; returns false on any mismatch.
   static bool verify(const Digest20& root, std::uint32_t num_classes,
                      const MttPrefixProof& proof);
 
-  /// Total number of hash evaluations performed by the last labeling
-  /// operation — a full compute_labels() or an incremental apply() (for
-  /// the labeling microbenchmark and the churn-vs-table-size metric).
+  /// Total number of hash evaluations performed by the last
+  /// compute_labels() (for the labeling benchmarks and perfbench's
+  /// per-commit hash counter).
   std::uint64_t last_label_hashes() const { return label_hashes_; }
 
  private:
@@ -266,24 +255,20 @@ class Mtt {
   void write_bits(std::uint32_t prefix_index, const std::vector<bool>& bits);
   bool bits_equal(std::uint32_t prefix_index, const std::vector<bool>& bits) const;
 
-  /// Structural half of apply(): inserts/removes/overwrites one entry.
-  /// Records the touched prefix in `touched` when the tree changed.
-  void apply_structural(const MttUpdate& update, std::vector<bgp::Prefix>& touched);
+  /// Inserts/removes/overwrites one entry of the structure.
+  void apply_structural(const MttUpdate& update);
 
   Digest20 child_label(std::uint32_t inner_index, int slot,
                        const crypto::CommitmentPrf& prf) const;
-  /// Relabels one inner node from its children; returns hashes performed.
-  std::uint64_t relabel_inner(std::uint32_t inner_index, const crypto::CommitmentPrf& prf);
-  /// Relabels the inner nodes in ids[0, n), which must all sit at one trie
-  /// depth whose deeper levels are already labeled: one relabel_inner per
-  /// node, or via the lane batcher; accumulates the hash count into
-  /// `hashes`.
-  void label_inner_ids(const std::uint32_t* ids, std::size_t n, const crypto::CommitmentPrf& prf,
-                       bool multilane, std::uint64_t& hashes);
-  /// Labels the prefix nodes in ids[start, end), scalar or via the lane
+  /// Labels the inner nodes in ids[0, n), which must all sit at one trie
+  /// depth whose deeper levels are already labeled, through the lane
   /// batcher; accumulates the hash count into `hashes`.
+  void label_inner_ids(const std::uint32_t* ids, std::size_t n, const crypto::CommitmentPrf& prf,
+                       std::uint64_t& hashes);
+  /// Labels the prefix nodes in ids[0, n) through the lane batcher;
+  /// accumulates the hash count into `hashes`.
   void label_prefix_ids(const std::uint32_t* ids, std::size_t n, const crypto::CommitmentPrf& prf,
-                        bool multilane, std::uint64_t& hashes);
+                        std::uint64_t& hashes);
   bool stored_bit(std::uint64_t bit_index) const;
 
   std::uint32_t num_classes_ = 0;

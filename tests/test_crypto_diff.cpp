@@ -30,6 +30,7 @@
 #include "crypto/rsa.hpp"
 #include "crypto/sha2.hpp"
 #include "crypto/sha2_multi.hpp"
+#include "mtt_reference.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
@@ -660,42 +661,27 @@ MttEntries random_entries(SplitMix64& rng, int count, std::uint32_t k, std::uint
   return entries;
 }
 
-/// Labels `entries` with the lane batcher and with the fully scalar path,
-/// then applies one mixed insert/remove/rewrite round to both, checking
-/// that roots, hash counts and proofs agree at every step.
-void expect_lane_labeling_matches_scalar(const MttEntries& entries, std::uint32_t k,
-                                         SplitMix64& rng) {
+/// Labels `entries` at one and at four threads and checks both trees'
+/// roots and hash counts against the test-only reference labeler; proofs
+/// from the two trees must be byte-identical and open against the
+/// reference root.
+void expect_labeling_matches_reference(const MttEntries& entries, std::uint32_t k) {
   sc::CommitmentPrf prf(sc::seed_from_string("diff-mtt"));
-  auto lane_tree = core::Mtt::build(entries, k);
-  lane_tree.compute_labels(prf, /*threads=*/1, /*multilane=*/true);
-  auto scalar_tree = core::Mtt::build(entries, k);
-  scalar_tree.compute_labels(prf, /*threads=*/1, /*multilane=*/false);
-  ASSERT_EQ(lane_tree.root_label(), scalar_tree.root_label());
-  ASSERT_EQ(lane_tree.last_label_hashes(), scalar_tree.last_label_hashes());
-
-  std::vector<core::MttUpdate> updates;
-  for (std::size_t i = 0; i < entries.size(); i += 3) {
-    if (i % 2 == 0) {
-      updates.push_back({entries[i].first, std::nullopt});
-    } else {
-      std::vector<bool> bits = entries[i].second;
-      bits[0] = !bits[0];
-      updates.push_back({entries[i].first, bits});
-    }
+  const auto reference = spider::test::mtt_reference_label(entries, prf);
+  auto serial = core::Mtt::build(entries, k);
+  serial.compute_labels(prf, /*threads=*/1);
+  auto threaded = core::Mtt::build(entries, k);
+  threaded.compute_labels(prf, /*threads=*/4);
+  for (const core::Mtt* tree : {&serial, &threaded}) {
+    ASSERT_EQ(tree->root_label(), reference.root);
+    ASSERT_EQ(tree->last_label_hashes(), reference.hashes);
   }
-  for (const auto& [prefix, bits] : random_entries(rng, 20, k, 16, 24)) {
-    updates.push_back({prefix, bits});
-  }
-  lane_tree.apply(updates, prf, /*threads=*/1, /*multilane=*/true);
-  scalar_tree.apply(updates, prf, /*threads=*/1, /*multilane=*/false);
-  ASSERT_EQ(lane_tree.root_label(), scalar_tree.root_label());
-  EXPECT_EQ(lane_tree.last_label_hashes(), scalar_tree.last_label_hashes());
 
-  for (std::size_t i = 1; i < entries.size(); i += 7) {
-    if (!lane_tree.bit(entries[i].first, 0)) continue;
-    const std::vector<core::ClassId> classes = {0, k - 1};
-    EXPECT_EQ(lane_tree.prove(prf, entries[i].first, classes).encode(),
-              scalar_tree.prove(prf, entries[i].first, classes).encode());
+  const std::vector<core::ClassId> classes = {0, k - 1};
+  for (std::size_t i = 0; i < entries.size(); i += 7) {
+    const auto proof = serial.prove(prf, entries[i].first, classes);
+    EXPECT_EQ(proof.encode(), threaded.prove(prf, entries[i].first, classes).encode());
+    EXPECT_TRUE(core::Mtt::verify(reference.root, k, proof));
   }
 }
 
@@ -705,11 +691,30 @@ TEST(CryptoDiffLabels, MttMultilaneLabelingMatchesScalar) {
   SplitMix64 rng(77);
   const std::uint32_t k = 13;
   // Mixed lengths: a moderately dense trie.
-  expect_lane_labeling_matches_scalar(random_entries(rng, 85, k, 8, 24), k, rng);
+  expect_labeling_matches_reference(random_entries(rng, 85, k, 8, 24), k);
   // Sparse /24s: long single-child spines, so nearly every inner node has
   // two dummy children and the dummy PRF batch carries most of the pass;
   // 150 prefixes put more than one lane chunk at each deep level.
-  expect_lane_labeling_matches_scalar(random_entries(rng, 150, k, 24, 24), k, rng);
+  expect_labeling_matches_reference(random_entries(rng, 150, k, 24, 24), k);
+  // Large enough that four threads shard both the prefix phase and the
+  // deep inner levels.
+  expect_labeling_matches_reference(random_entries(rng, 2000, k, 8, 24), k);
+  // The empty tree: a root over three dummies.
+  expect_labeling_matches_reference({}, k);
+  // Both trie extremes: a prefix at the root's E edge and /32s at the
+  // deepest level.
+  MttEntries extremes = random_entries(rng, 10, k, 0, 32);
+  for (const auto& prefix : {sb::Prefix{0, 0}, sb::Prefix{0, 32}, sb::Prefix{0xffffffffu, 32},
+                             sb::Prefix{0x0a010203u, 32}}) {
+    if (std::any_of(extremes.begin(), extremes.end(),
+                    [&](const auto& e) { return e.first == prefix; })) {
+      continue;
+    }
+    std::vector<bool> bits(k);
+    for (std::uint32_t c = 0; c < k; ++c) bits[c] = rng.below(2) == 1;
+    extremes.emplace_back(prefix, bits);
+  }
+  expect_labeling_matches_reference(extremes, k);
 }
 
 // -------------------------------------------------------- concurrency
@@ -780,9 +785,9 @@ TEST(CryptoDiffTsan, ConcurrentMultilaneMttLabelingIsDeterministic) {
   }
   sc::CommitmentPrf prf(sc::seed_from_string("tsan-mtt"));
   auto serial = core::Mtt::build(entries, k);
-  serial.compute_labels(prf, 1, true);
+  serial.compute_labels(prf, 1);
   auto threaded = core::Mtt::build(entries, k);
-  threaded.compute_labels(prf, 4, true);
+  threaded.compute_labels(prf, 4);
   EXPECT_EQ(serial.root_label(), threaded.root_label());
   EXPECT_EQ(serial.last_label_hashes(), threaded.last_label_hashes());
 }

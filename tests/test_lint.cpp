@@ -167,7 +167,7 @@ TEST(LintRules, R8DoesNotApplyOutsideTheCatalog) {
 TEST(LintRules, R9StaleRootAfterStructureOnlyApply) {
   auto fs = lint::lint_source("src/spider/fixture.cpp", read_fixture("r9_stale_root.cpp"));
   EXPECT_EQ(rule_lines(fs), (RL{{"R9", 5}}))
-      << "lines 7 and 10 read the root after a relabel and must not fire";
+      << "line 8 reads the root after a relabel and must not fire";
 }
 
 TEST(LintRules, R10RawSocketSyscallsOutsideTransport) {

@@ -16,6 +16,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -23,6 +24,7 @@
 #include <limits>
 #include <functional>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -654,22 +656,12 @@ json::Object run_crypto(const benchutil::BenchScale&) {
     auto tr = trace::generate(config);
     auto tree = core::Mtt::build(snapshot_entries(tr, 50), 50);
     crypto::CommitmentPrf prf(crypto::seed_from_string("mtt-bench"));
-    {
-      util::WallTimer scalar_timer;
-      tree.compute_labels(prf, /*threads=*/1, /*multilane=*/false);
-      const double scalar_s = scalar_timer.seconds();
-      const double scalar_dps = static_cast<double>(tree.last_label_hashes()) / scalar_s;
-      util::WallTimer lane_timer;
-      tree.compute_labels(prf, /*threads=*/1, /*multilane=*/true);
-      const double lane_s = lane_timer.seconds();
-      const double lane_dps = static_cast<double>(tree.last_label_hashes()) / lane_s;
-      results.push_back(
-          result_row("MTT labeling digests/s (scalar)", scalar_dps, "ops/s", "-"));
-      results.push_back(
-          result_row("MTT labeling digests/s (multilane)", lane_dps, "ops/s", "-"));
-      results.push_back(
-          result_row("MTT labeling speedup (multilane)", scalar_s / lane_s, "x", "-"));
-    }
+    util::WallTimer label_timer;
+    tree.compute_labels(prf);
+    results.push_back(result_row("MTT labeling digests/s",
+                                 static_cast<double>(tree.last_label_hashes()) /
+                                     label_timer.seconds(),
+                                 "ops/s", "-"));
     std::vector<core::ClassId> all_better;
     for (core::ClassId c = 0; c < 49; ++c) all_better.push_back(c);
     const auto& prefix = tr.rib_snapshot.front().prefix;
@@ -853,14 +845,16 @@ json::Object run_chaos(const benchutil::BenchScale& scale) {
 }
 
 json::Object run_fullscale(const benchutil::BenchScale& scale) {
-  // E12: incremental commitment maintenance under the paper's replay
-  // workload — build the full table once, then feed 15 one-minute rounds
-  // of bursty updates through Mtt::apply and compare the per-round relabel
-  // cost against rebuilding the whole tree every commit interval (§7.5's
-  // "MTT generation" line is the rebuild-every-time cost this removes).
+  // E12: the recorder's commit under the paper's replay workload.  Build
+  // the full table once, then feed 15 one-minute rounds of bursty updates
+  // through the commit spider/recorder.cpp makes: a structure-only
+  // Mtt::apply, then a full compute_labels under the round's fresh seed
+  // (§6.5).  Two trees commit side by side at c=1 and c=4 and must agree
+  // on every root; the last round's root is checked against a fresh build.
+  // §7.3's labeling times are the paper's cost of the same commit.
   constexpr std::uint32_t k = 50;
   constexpr int kRounds = 15;
-  const unsigned threads = std::max(1u, std::thread::hardware_concurrency());
+  constexpr std::array<unsigned, 2> kThreads{1, 4};
 
   trace::TraceConfig config;
   config.num_prefixes = scale.prefixes;
@@ -870,7 +864,7 @@ json::Object run_fullscale(const benchutil::BenchScale& scale) {
   auto tr = trace::generate(config);
 
   // Deterministic per-(prefix, version) bit vectors so re-announcements
-  // actually flip bits (relabeling the prefix node) instead of no-op'ing.
+  // actually change the tree instead of no-op'ing.
   auto bits_for = [](const bgp::Prefix& prefix, std::uint64_t version) {
     util::SplitMix64 rng((static_cast<std::uint64_t>(prefix.bits()) << 16) ^
                          (static_cast<std::uint64_t>(prefix.length()) << 8) ^ version);
@@ -882,26 +876,23 @@ json::Object run_fullscale(const benchutil::BenchScale& scale) {
 
   std::map<bgp::Prefix, std::vector<bool>> current;
   std::map<bgp::Prefix, std::uint64_t> version;
-  std::vector<std::pair<bgp::Prefix, std::vector<bool>>> entries;
-  entries.reserve(tr.rib_snapshot.size());
-  for (const auto& route : tr.rib_snapshot) {
-    auto bits = bits_for(route.prefix, 0);
-    current[route.prefix] = bits;
-    entries.emplace_back(route.prefix, std::move(bits));
-  }
+  for (const auto& route : tr.rib_snapshot) current[route.prefix] = bits_for(route.prefix, 0);
 
-  crypto::CommitmentPrf prf(crypto::seed_from_string("fullscale-bench"));
   util::WallTimer build_timer;
-  auto tree = core::Mtt::build(std::move(entries), k);
-  tree.compute_labels(prf, threads);
-  const double initial_seconds = build_timer.seconds();
-  const std::uint64_t initial_hashes = tree.last_label_hashes();
+  std::vector<core::Mtt> trees;
+  trees.push_back(core::Mtt::build({current.begin(), current.end()}, k));
+  const double build_seconds = build_timer.seconds();
+  trees.push_back(trees.front());
 
   // Partition the replay stream into one-minute commit rounds.
   const netsim::Time round_len = config.duration / kRounds;
   std::uint64_t total_updates = 0, total_hashes = 0;
-  double total_latency = 0, max_latency = 0;
-  json::Array round_hashes, round_latencies;
+  std::array<double, 2> total_seconds{}, max_seconds{};
+  double total_apply_seconds = 0;
+  std::array<json::Array, 2> round_seconds;
+  json::Array round_hashes;
+  bool roots_match = true;
+  crypto::Seed seed{};
   std::size_t event_index = 0;
   for (int round = 0; round < kRounds; ++round) {
     const netsim::Time cutoff = (round + 1 == kRounds)
@@ -922,29 +913,31 @@ json::Object run_fullscale(const benchutil::BenchScale& scale) {
       }
     }
     total_updates += updates.size();
-    util::WallTimer timer;
-    const std::uint64_t hashes = tree.apply(updates, prf, threads);
-    const double seconds = timer.seconds();
-    total_hashes += hashes;
-    total_latency += seconds;
-    max_latency = std::max(max_latency, seconds);
-    round_hashes.push_back(static_cast<std::uint64_t>(hashes));
-    round_latencies.push_back(seconds);
+    seed = crypto::seed_from_string("fullscale-round-" + std::to_string(round));
+    const crypto::CommitmentPrf prf(seed);
+    for (std::size_t t = 0; t < trees.size(); ++t) {
+      util::WallTimer timer;
+      trees[t].apply(updates);
+      if (t == 0) total_apply_seconds += timer.seconds();
+      trees[t].compute_labels(prf, kThreads[t]);
+      const double seconds = timer.seconds();
+      total_seconds[t] += seconds;
+      max_seconds[t] = std::max(max_seconds[t], seconds);
+      round_seconds[t].push_back(seconds);
+    }
+    roots_match = roots_match && trees[0].root_label() == trees[1].root_label();
+    total_hashes += trees[0].last_label_hashes();
+    round_hashes.push_back(trees[0].last_label_hashes());
   }
 
-  // Differential ground truth: a fresh build over the final routing state
-  // must reproduce the incrementally maintained root, and its labeling pass
-  // is the per-commit cost a rebuild-every-interval recorder would pay.
-  std::vector<std::pair<bgp::Prefix, std::vector<bool>>> final_entries(current.begin(),
-                                                                       current.end());
-  auto rebuilt = core::Mtt::build(std::move(final_entries), k);
-  rebuilt.compute_labels(prf, threads);
-  const bool root_matches = tree.root_label() == rebuilt.root_label();
-  const std::uint64_t rebuild_hashes = rebuilt.last_label_hashes();
-  const double mean_hashes =
-      static_cast<double>(total_hashes) / static_cast<double>(kRounds);
-  const double reduction =
-      mean_hashes > 0 ? static_cast<double>(rebuild_hashes) / mean_hashes : 0;
+  // Ground truth: a fresh build over the final routing state, labeled
+  // under the last round's seed, must reproduce the maintained root.
+  auto fresh = core::Mtt::build({current.begin(), current.end()}, k);
+  fresh.compute_labels(crypto::CommitmentPrf(seed), kThreads.back());
+  const bool fresh_matches = trees[0].root_label() == fresh.root_label();
+  if (!roots_match || !fresh_matches) {
+    throw std::runtime_error("E12: committed MTT roots disagree");
+  }
 
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
@@ -954,28 +947,30 @@ json::Object run_fullscale(const benchutil::BenchScale& scale) {
   json::Object cfg = scale_config(scale);
   cfg["rounds"] = static_cast<std::uint64_t>(kRounds);
   cfg["num_classes"] = static_cast<std::uint64_t>(k);
-  cfg["threads"] = static_cast<std::uint64_t>(threads);
-  cfg["round_relabel_hashes"] = std::move(round_hashes);
-  cfg["round_commit_seconds"] = std::move(round_latencies);
+  cfg["hardware_threads"] = static_cast<std::uint64_t>(std::thread::hardware_concurrency());
+  cfg["round_label_hashes"] = std::move(round_hashes);
+  cfg["round_commit_seconds_c1"] = std::move(round_seconds[0]);
+  cfg["round_commit_seconds_c4"] = std::move(round_seconds[1]);
   out["config"] = std::move(cfg);
   json::Array results;
-  results.push_back(result_row("initial build + label", initial_seconds, "s",
-                               "38.8 @ 391028 prefixes, c=1"));
-  results.push_back(result_row("initial label hashes", static_cast<double>(initial_hashes),
-                               "hashes", "-"));
+  results.push_back(result_row("initial build (structure)", build_seconds, "s", "-"));
   results.push_back(
       result_row("updates replayed", static_cast<double>(total_updates), "updates", "38696"));
   results.push_back(result_row("commit rounds", kRounds, "rounds", "13-15 in the replay period"));
-  results.push_back(result_row("mean commit latency", total_latency / kRounds, "s", "-"));
-  results.push_back(result_row("max commit latency", max_latency, "s", "-"));
+  for (std::size_t t = 0; t < trees.size(); ++t) {
+    const std::string c = ", c=" + std::to_string(kThreads[t]);
+    results.push_back(result_row("mean commit (apply + relabel)" + c, total_seconds[t] / kRounds,
+                                 "s", t == 0 ? "38.8 @ 391028 prefixes" : "13.4 @ c=3"));
+    results.push_back(result_row("max commit (apply + relabel)" + c, max_seconds[t], "s", "-"));
+  }
   results.push_back(
-      result_row("incremental relabel hashes per round (mean)", mean_hashes, "hashes", "-"));
-  results.push_back(result_row("full-rebuild hashes at equal tree size",
-                               static_cast<double>(rebuild_hashes), "hashes", "-"));
-  results.push_back(
-      result_row("relabel hash reduction vs rebuild", reduction, "x", ">= 10 expected"));
-  results.push_back(result_row("incremental root matches fresh rebuild", root_matches ? 1 : 0,
+      result_row("mean structure apply", total_apply_seconds / kRounds, "s", "-"));
+  results.push_back(result_row("label hashes per commit (mean)",
+                               static_cast<double>(total_hashes) / kRounds, "hashes", "-"));
+  results.push_back(result_row("c=1 and c=4 roots match every round", roots_match ? 1 : 0,
                                "bool", "1"));
+  results.push_back(
+      result_row("final root matches fresh build", fresh_matches ? 1 : 0, "bool", "1"));
   results.push_back(result_row("peak RSS", peak_rss_bytes, "bytes", "-"));
   out["results"] = std::move(results);
   return out;
@@ -1114,8 +1109,7 @@ const Scenario kScenarios[] = {
     {"crypto", "E10", "crypto/commitment microbenchmarks", run_crypto},
     {"ablation", "A1-A4", "DESIGN.md design-choice index", run_ablation},
     {"chaos", "E11", "§5/§7.4 detection matrix under injected faults", run_chaos},
-    {"fullscale", "E12", "§7.3/§7.5 incremental commitments under the 15-minute replay",
-     run_fullscale},
+    {"fullscale", "E12", "§7.3 per-commit relabeling under the 15-minute replay", run_fullscale},
     {"verify", "E13", "src/verify pipelined session engine vs the sequential baseline",
      run_verify},
 };

@@ -29,8 +29,8 @@
 //   R8  every spider_chaos catalog entry (src/chaos/catalog.*) must declare
 //       the core::FaultKind the checker is expected to emit, and not
 //       kNone — a misbehavior the matrix cannot assert on is untestable.
-//   R9  (rules.cpp) no reading an Mtt root cached before a structure-only
-//       apply — see the R9 banner in rules.cpp.
+//   R9  (rules.cpp) no reading an Mtt root after apply() without an
+//       intervening compute_labels() — see the R9 banner in rules.cpp.
 //   R10 no direct socket syscalls (socket(), epoll_ctl(), ::send(), ...)
 //       outside src/transport — protocol code talks through
 //       transport::Endpoint so the same object runs under netsim and TCP.

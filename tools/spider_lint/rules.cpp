@@ -401,47 +401,25 @@ void rule_r8(const Tokens& toks, std::string_view path, const FileClass& cls,
 
 // ------------------------------------------------------------------- R9
 
-/// True when the argument list of the call opening at `open` (pointing at
-/// "(") has a comma at the top nesting level — i.e. two or more arguments.
-bool has_top_level_comma(const Tokens& toks, std::size_t open, std::size_t close) {
-  int depth = 0;
-  for (std::size_t i = open; i < close; ++i) {
-    if (is_punct(toks[i], "(") || is_punct(toks[i], "[") || is_punct(toks[i], "{")) {
-      ++depth;
-    } else if (is_punct(toks[i], ")") || is_punct(toks[i], "]") || is_punct(toks[i], "}")) {
-      --depth;
-    } else if (is_punct(toks[i], ",") && depth == 1) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Structure-only Mtt::apply — the single-argument `.apply(updates)`
-/// overload — invalidates the tree's labels; reading `.root_label()`
-/// before an intervening relabel (`.compute_labels(...)` or the
-/// multi-argument relabeling `.apply(updates, prf, ...)`) would serve a
-/// stale or throwing root.  The tree guards this at runtime, but at a
-/// commit site the exception only fires in production; the lint catches
-/// the shape at review time.
+/// Mtt::apply(updates) changes only the tree's structure and invalidates
+/// its labels; reading `.root_label()` before an intervening
+/// `.compute_labels(...)` would serve a stale or throwing root.  The tree
+/// guards this at runtime, but at a commit site the exception only fires
+/// in production; the lint catches the shape at review time.
 void rule_r9(const Tokens& toks, std::string_view path, std::vector<Finding>& out) {
-  int pending_line = 0;  // line of a structure-only apply awaiting a relabel
+  int pending_line = 0;  // line of an apply awaiting a relabel
   for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
     if (!is_punct(toks[i], ".") && !is_punct(toks[i], "->")) continue;
     if (!is_punct(toks[i + 2], "(")) continue;
     if (is_ident(toks[i + 1], "apply")) {
-      std::size_t close = matching_close(toks, i + 2);
-      if (close >= toks.size()) continue;
-      pending_line = has_top_level_comma(toks, i + 2, close) ? 0 : toks[i + 1].line;
-      i = close;
+      pending_line = toks[i + 1].line;
     } else if (is_ident(toks[i + 1], "compute_labels")) {
       pending_line = 0;
     } else if (pending_line != 0 && is_ident(toks[i + 1], "root_label")) {
       out.push_back({"R9", std::string(path), toks[i + 1].line,
                      "root_label() read after the structure-only apply() at line " +
                      std::to_string(pending_line) +
-                     " without an intervening relabel — call compute_labels() or the "
-                     "relabeling apply(updates, prf, ...) first"});
+                     " without an intervening relabel — call compute_labels() first"});
       pending_line = 0;  // one finding per stale window
     }
   }
