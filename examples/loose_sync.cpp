@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include "spider/verification.hpp"
+#include "verify/session.hpp"
 
 using namespace spider;
 
@@ -69,7 +70,7 @@ int main() {
   std::printf("AS5 committed at T=%.1fs, while %s was still converging\n\n",
               static_cast<double>(record.timestamp) / kSecond, victim.str().c_str());
 
-  auto report = proto::run_verification(deploy, 5, record.timestamp);
+  auto report = verify::run_session(deploy, 5, record.timestamp, {}).report;
   std::printf("verification of AS5: %s (root %s, %zu neighbors, %.2fs)\n",
               report.clean() ? "CLEAN — no false accusation despite the churn" : "FINDINGS",
               report.root_matches ? "matches" : "MISMATCH", report.verdicts.size(),

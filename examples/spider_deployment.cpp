@@ -3,7 +3,7 @@
 // Ten ASes, each with a BGP speaker and a SPIDeR recorder; a synthetic
 // RouteViews-style trace is injected at AS 2.  After the replay AS 5
 // commits to its routing decisions and we verify that commitment with
-// proto::run_verification: every neighbor runs its checker in both roles
+// verify::run_session: every neighbor runs its checker in both roles
 // and — in the second half — AS 5 is misconfigured to hide AS 2's routes,
 // and AS 2 catches it.
 //
@@ -12,6 +12,7 @@
 
 #include "spider/deployment.hpp"
 #include "spider/verification.hpp"
+#include "verify/session.hpp"
 
 using namespace spider;
 
@@ -32,7 +33,8 @@ trace::RouteViewsTrace demo_trace() {
 /// deployment runs it: AS 5's own proof generator answers every neighbor,
 /// and each neighbor checks against the promise AS 5 made to it.
 void verify_as5(proto::Fig5Deployment& deploy, const proto::CommitmentRecord& record) {
-  const proto::VerificationReport report = proto::run_verification(deploy, 5, record.timestamp);
+  const proto::VerificationReport report =
+      verify::run_session(deploy, 5, record.timestamp, {}).report;
   std::printf("  session: root %s (%.2f s, %zu proof bytes)\n",
               report.root_matches ? "matches" : "MISMATCH", report.elapsed_seconds,
               report.proof_bytes);

@@ -8,6 +8,7 @@
 #include "spider/evidence.hpp"
 #include "spider/verification.hpp"
 #include "trace/routeviews.hpp"
+#include "verify/session.hpp"
 
 namespace spider::chaos {
 
@@ -159,7 +160,7 @@ struct CellRunner {
       return;
     }
     const Time verified = entry != nullptr ? stage_generator_faults(*entry, t) : t;
-    collect(proto::run_verification(deploy, 5, verified, /*extended=*/true));
+    collect(verify::run_session(deploy, 5, verified, {}, /*extended=*/true).report);
   }
 
   void check_evidence(const CatalogEntry& entry, Time t) {

@@ -35,8 +35,4 @@ std::vector<std::string> VerificationReport::findings() const {
   return out;
 }
 
-// run_verification is defined in src/verify/session.cpp: the session
-// engine's sequential configuration reproduces this module's original
-// flow, and the pipelined/cached configurations live beside it.
-
 }  // namespace spider::proto

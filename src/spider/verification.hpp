@@ -15,7 +15,8 @@
 //      here);
 //   5. returns a verdict per neighbor plus any transferable evidence.
 //
-// This is the layer a deployment would expose as "spiderctl verify AS5".
+// This header holds the session's report; verify::run_session
+// (src/verify/session.hpp, library spider_verify) runs the session.
 #pragma once
 
 #include <map>
@@ -45,12 +46,12 @@ struct VerificationReport {
   bool root_matches = false;
   std::vector<NeighborVerdict> verdicts;
   /// Proof bytes actually shipped during this session (wire encodings of
-  /// the proof bundles, as before).
+  /// the proof bundles).
   std::size_t proof_bytes = 0;
   /// Proof bytes whose re-verification the session's subpath cache made
   /// redundant (src/verify): sibling material on interior fold levels
   /// skipped by a cache hit.  Accounted separately so the shipped total
-  /// no longer hides the dedup savings; 0 when the cache is off.
+  /// no longer hides the dedup savings.
   std::size_t proof_bytes_deduped = 0;
   double elapsed_seconds = 0;
 
@@ -58,18 +59,5 @@ struct VerificationReport {
   /// Human-readable one-line summary per finding.
   std::vector<std::string> findings() const;
 };
-
-/// Runs a full verification session for `elector`'s commitment at
-/// `commit_time` over a deployment.  `extended` additionally runs the
-/// RE-ANNOUNCE protocol.  `within` restricts to a prefix subtree (§7.3).
-///
-/// Defined in src/verify/session.cpp (link spider_verify): this is the
-/// sequential configuration of the pipelined session engine, which
-/// produces the same verdicts, evidence and detections as the original
-/// in-place flow.  verify::run_session exposes the pipelined/cached
-/// configurations plus per-session statistics.
-VerificationReport run_verification(Fig5Deployment& deploy, bgp::AsNumber elector,
-                                    Time commit_time, bool extended = false,
-                                    std::optional<bgp::Prefix> within = std::nullopt);
 
 }  // namespace spider::proto

@@ -294,7 +294,7 @@ CachedProofVerifier& NodeHost::verifier_for(std::uint32_t elector, proto::Time c
   if (verifiers_.size() == kVerifierCapacity) verifiers_.pop_front();
   return verifiers_
       .emplace_back(std::piecewise_construct, std::forward_as_tuple(key),
-                    std::forward_as_tuple(/*use_cache=*/true, /*cache_capacity=*/1 << 16))
+                    std::forward_as_tuple(CachedProofVerifier::kCacheCapacity))
       .second;
 }
 

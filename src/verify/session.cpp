@@ -22,13 +22,18 @@ namespace spider::verify {
 using util::Bytes;
 using util::ByteSpan;
 
+namespace {
+
+/// Rounds per signature flush; at most kWindow * jobs rounds in flight.
+constexpr std::size_t kWindow = 4;
+/// Prefixes per challenge round.
+constexpr std::size_t kRoundPrefixes = 256;
+
+}  // namespace
+
 SessionConfig pipelined_config(unsigned jobs) {
   SessionConfig config;
   config.jobs = jobs != 0 ? jobs : std::max(1u, std::thread::hardware_concurrency());
-  config.window = 4;
-  config.round_prefixes = 256;
-  config.use_cache = true;
-  config.batch_signatures = true;
   return config;
 }
 
@@ -57,7 +62,7 @@ bool CachedProofVerifier::verify(const Digest20& root, std::uint32_t num_classes
   ++digest_ops_;
   Digest20 current = core::mtt_prefix_label(proof.bit_labels.data(), proof.bit_labels.size());
 
-  ProofPathCache* cache = use_cache_ ? &cache_for(root) : nullptr;
+  ProofPathCache& cache = cache_for(root);
 
   // Fold upward, consulting the cache before each level: a hit means the
   // label at this position is known to fold to `root` through interior
@@ -69,7 +74,7 @@ bool CachedProofVerifier::verify(const Digest20& root, std::uint32_t num_classes
   std::optional<std::size_t> hit_level;
   for (std::size_t level = proof.siblings.size(); level-- > 0;) {
     const std::uint64_t position = core::mtt_path_position(proof.prefix, level + 1);
-    if (cache != nullptr && cache->has_path(position, current)) {
+    if (cache.has_path(position, current)) {
       hit_level = level;
       break;
     }
@@ -89,13 +94,11 @@ bool CachedProofVerifier::verify(const Digest20& root, std::uint32_t num_classes
     bytes_deduped_ += skipped * 2 * sizeof(Digest20);
   } else {
     ok = crypto::constant_time_equal(current, root);
-    if (cache != nullptr) ++cache_misses_;
+    ++cache_misses_;
   }
   if (ok) {
     ++proofs_accepted_;
-    if (cache != nullptr) {
-      for (const auto& [position, label] : trail) cache->insert_path(position, label);
-    }
+    for (const auto& [position, label] : trail) cache.insert_path(position, label);
   }
   return ok;
 }
@@ -127,9 +130,8 @@ struct RoundTask {
   bgp::AsNumber neighbor = 0;
   Role role = Role::kProducer;
   std::size_t chunk_index = 0;
-  /// The checker prefixes this round covers; nullopt = the whole set in
-  /// sequential layout (no subset filter, extras included as before).
-  std::optional<std::set<bgp::Prefix>> subset;
+  /// The checker prefixes this round covers.
+  std::set<bgp::Prefix> subset;
 
   // Filled by the worker.
   proto::ProducerProofs producer;
@@ -156,16 +158,16 @@ struct NeighborPlan {
   std::optional<core::Detection> consumer_detection;
 };
 
-/// Splits the sorted keys of `keys` into consecutive chunks of
-/// `round_prefixes` (sorted order is what makes per-round detections
-/// concatenate to the sequential first-detection).
+/// Splits the sorted keys of `map` into consecutive chunks of
+/// kRoundPrefixes (sorted order is what makes per-round detections
+/// concatenate to the first detection over the whole set).
 template <typename Map>
-std::vector<std::set<bgp::Prefix>> chunk_keys(const Map& map, std::size_t round_prefixes) {
+std::vector<std::set<bgp::Prefix>> chunk_keys(const Map& map) {
   std::vector<std::set<bgp::Prefix>> chunks;
   std::set<bgp::Prefix> current;
   for (const auto& [prefix, value] : map) {
     current.insert(prefix);
-    if (current.size() == round_prefixes) {
+    if (current.size() == kRoundPrefixes) {
       chunks.push_back(std::move(current));
       current.clear();
     }
@@ -186,10 +188,9 @@ Bytes round_bundle_bytes(bgp::AsNumber elector, proto::Time commit_time, const R
 }
 
 template <typename Map>
-Map restrict_to(const Map& map, const std::optional<std::set<bgp::Prefix>>& subset) {
-  if (!subset) return map;
+Map restrict_to(const Map& map, const std::set<bgp::Prefix>& subset) {
   Map out;
-  for (const auto& prefix : *subset) {
+  for (const auto& prefix : subset) {
     auto it = map.find(prefix);
     if (it != map.end()) out.insert(*it);
   }
@@ -281,15 +282,7 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
 
     const std::size_t plan_index = plans.size();
     auto schedule_role = [&](Role role, auto& prefix_map) {
-      if (config.round_prefixes == 0) {
-        RoundTask task;
-        task.plan_index = plan_index;
-        task.neighbor = neighbor;
-        task.role = role;
-        tasks.push_back(std::move(task));  // whole set, sequential layout
-        return;
-      }
-      auto chunks = chunk_keys(prefix_map, config.round_prefixes);
+      auto chunks = chunk_keys(prefix_map);
       for (std::size_t c = 0; c < chunks.size(); ++c) {
         RoundTask task;
         task.plan_index = plan_index;
@@ -313,35 +306,33 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
   // prefix once per neighbor role, so memoizing the class-independent
   // material (PRF randomness, bit labels, sibling path) across rounds
   // collapses the repeat digest work.  The mutex inside makes sharing it
-  // across pool workers safe.  The sequential baseline stays memo-free.
-  core::MttProofMemo proof_memo;
-  core::MttProofMemo* memo = config.use_cache ? &proof_memo : nullptr;
+  // across pool workers safe.
+  core::MttProofMemo memo;
   auto run_round = [&](RoundTask& task) {
     if (task.role == Role::kProducer) {
-      task.producer = generator.proofs_for_producer(recon, task.neighbor, within,
-                                                    task.subset ? &*task.subset : nullptr, memo);
+      task.producer =
+          generator.proofs_for_producer(recon, task.neighbor, within, &task.subset, &memo);
       task.payload = task.producer.encode();
     } else {
-      task.consumer = generator.proofs_for_consumer(recon, task.neighbor, within,
-                                                    task.subset ? &*task.subset : nullptr, memo);
+      task.consumer =
+          generator.proofs_for_consumer(recon, task.neighbor, within, &task.subset, &memo);
       task.payload = task.consumer.encode();
     }
     task.bundle = round_bundle_bytes(elector, commit_time, task);
     task.signature = signer.sign(ByteSpan{task.bundle.data(), task.bundle.size()});
   };
 
-  CachedProofVerifier verifier(config.use_cache, config.cache_capacity);
+  CachedProofVerifier verifier(CachedProofVerifier::kCacheCapacity);
   const proto::ProofVerifyFn verify_fn = [&verifier](const Digest20& root,
                                                      std::uint32_t num_classes,
                                                      const core::MttPrefixProof& proof) {
     return verifier.verify(root, num_classes, proof);
   };
 
-  // Same-key RSA signature checks can batch; the keyed-hash test scheme
-  // verifies per bundle either way.
+  // Same-key RSA signature checks batch; the keyed-hash test scheme
+  // verifies per bundle.
   std::optional<crypto::RsaPublicKey> batch_key;
-  if (config.batch_signatures &&
-      deploy.config().scheme == proto::DeploymentConfig::SignScheme::kRsa) {
+  if (deploy.config().scheme == proto::DeploymentConfig::SignScheme::kRsa) {
     const Bytes encoded = signer.public_key();
     batch_key = crypto::RsaPublicKey::decode(ByteSpan{encoded.data(), encoded.size()});
   }
@@ -400,75 +391,59 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
   };
 
   const unsigned jobs = std::max(1u, config.jobs);
-  const std::size_t flush_size = std::max<unsigned>(1, config.window);
-  const bool inline_rounds = config.jobs <= 1 && config.window <= 1;
+  const std::size_t inflight_cap = jobs * kWindow;
   std::exception_ptr first_error;
-
-  if (inline_rounds) {
-    // The sequential baseline: generate, sign, verify, check — one round
-    // at a time on this thread, exactly the pre-engine flow.
-    for (RoundTask& task : tasks) {
-      run_round(task);
-      stats.bytes_shipped += task.payload.size();
-      ++stats.challenge_round_trips;
-      pending.push_back(&task);
-      flush_signatures();
+  std::mutex mu;
+  std::condition_variable cv;
+  std::size_t inflight = 0;
+  std::size_t next_submit = 0;
+  util::ThreadPool pool(jobs);
+  auto submit_ready = [&]() {
+    std::unique_lock<std::mutex> lock(mu);
+    while (next_submit < tasks.size() && inflight < inflight_cap) {
+      RoundTask* task = &tasks[next_submit];
+      ++inflight;
+      ++next_submit;
+      lock.unlock();
+      pool.submit([&, task] {
+        try {
+          run_round(*task);
+        } catch (...) {
+          task->error = std::current_exception();
+        }
+        {
+          std::lock_guard<std::mutex> guard(mu);
+          task->done = true;
+          --inflight;
+        }
+        cv.notify_all();
+      });
+      lock.lock();
     }
-  } else {
-    const std::size_t inflight_cap = static_cast<std::size_t>(jobs) * flush_size;
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t inflight = 0;
-    std::size_t next_submit = 0;
-    util::ThreadPool pool(jobs);
-    auto submit_ready = [&]() {
+  };
+
+  for (RoundTask& task : tasks) {
+    submit_ready();
+    {
       std::unique_lock<std::mutex> lock(mu);
-      while (next_submit < tasks.size() && inflight < inflight_cap) {
-        RoundTask* task = &tasks[next_submit];
-        ++inflight;
-        ++next_submit;
-        lock.unlock();
-        pool.submit([&, task] {
-          try {
-            run_round(*task);
-          } catch (...) {
-            task->error = std::current_exception();
-          }
-          {
-            std::lock_guard<std::mutex> guard(mu);
-            task->done = true;
-            --inflight;
-          }
-          cv.notify_all();
-        });
-        lock.lock();
-      }
-    };
-
-    for (RoundTask& task : tasks) {
-      submit_ready();
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return task.done; });
-      }
-      submit_ready();  // the finished round freed a window slot
-      if (task.error != nullptr) {
-        if (first_error == nullptr) first_error = task.error;
-        continue;
-      }
-      if (first_error != nullptr) continue;  // drain without checking
-      stats.bytes_shipped += task.payload.size();
-      ++stats.challenge_round_trips;
-      pending.push_back(&task);
-      if (pending.size() >= flush_size) flush_signatures();
+      cv.wait(lock, [&] { return task.done; });
     }
+    submit_ready();  // the finished round freed a window slot
+    if (task.error != nullptr) {
+      if (first_error == nullptr) first_error = task.error;
+      continue;
+    }
+    if (first_error != nullptr) continue;  // drain without checking
+    stats.bytes_shipped += task.payload.size();
+    ++stats.challenge_round_trips;
+    pending.push_back(&task);
+    if (pending.size() >= kWindow) flush_signatures();
   }
   flush_signatures();
   if (first_error != nullptr) std::rethrow_exception(first_error);
 
-  // --- Phase 3c: verdict merge, in neighbor order like the sequential
-  // flow (extended verification runs here, on the checker's full import
-  // view).
+  // --- Phase 3c: verdict merge, in neighbor order (extended verification
+  // runs here, on the checker's full import view).
   for (NeighborPlan& plan : plans) {
     proto::NeighborVerdict verdict;
     verdict.neighbor = plan.neighbor;
@@ -514,18 +489,3 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
 }
 
 }  // namespace spider::verify
-
-namespace spider::proto {
-
-// The sequential entry point every existing caller uses: one round per
-// (neighbor, role), scalar signature checks, no cache — the engine's
-// default configuration reproduces the pre-engine flow.
-VerificationReport run_verification(Fig5Deployment& deploy, bgp::AsNumber elector,
-                                    Time commit_time, bool extended,
-                                    std::optional<bgp::Prefix> within) {
-  return verify::run_session(deploy, elector, commit_time, verify::SessionConfig{}, extended,
-                             within)
-      .report;
-}
-
-}  // namespace spider::proto

@@ -1,30 +1,30 @@
-// The pipelined verification-session engine (ROADMAP item 5).
+// The verification-session engine.
 //
 // A SPIDeR verification session (§4.5 / §6.1) is a sequence of
 // challenge/response rounds between the elector's proof generator and its
-// neighbors' checkers.  The sequential flow in spider/verification.cpp
-// ran one round per (neighbor, role) and verified every bit proof from
-// scratch; this engine restructures the same session as:
+// neighbors' checkers.  Every session runs the same shape:
 //
 //   * rounds — each (neighbor, role) prefix set is split into chunks of
-//     `round_prefixes` (in sorted prefix order, so per-round detections
-//     concatenate to exactly the sequential first-detection);
+//     256 prefixes in sorted prefix order, so per-round first detections
+//     merge to exactly the first detection over the whole set;
 //   * a pipeline — proof generation and bundle signing run on a
-//     `jobs`-thread pool with at most `window * jobs` rounds in flight,
-//     while the main thread consumes finished rounds in order and runs
-//     the checkers, so proving round k+1 overlaps checking round k;
+//     `jobs`-thread pool with at most 4 × `jobs` rounds in flight, while
+//     the calling thread consumes finished rounds in order and runs the
+//     checkers, so proving round k+1 overlaps checking round k;
 //   * a ProofPathCache — interior proof subpaths are verified once per
 //     (root, position, label); repeat prefixes across neighbors and roles
 //     short-circuit at the first cached level (often the prefix node
-//     itself, skipping the entire fold);
-//   * batched signatures — under the RSA scheme, pending round bundles
-//     are signature-checked through crypto::rsa_verify_batch, amortizing
-//     the Montgomery context setup across a batch; results stay per
-//     bundle, so one bad signature taints exactly its own round.
+//     itself, skipping the entire fold), and the generator-side
+//     MttProofMemo collapses the matching repeat proving work;
+//   * batched signatures — under the RSA scheme, every 4 consumed round
+//     bundles are signature-checked through crypto::rsa_verify_batch,
+//     amortizing the Montgomery context setup across a batch; results
+//     stay per bundle, so one bad signature taints exactly its own round.
+//     The keyed-hash scheme verifies per bundle.
 //
-// The sequential configuration (the default-constructed SessionConfig) is
-// the old flow: one round per role, no cache, scalar signature checks.
-// proto::run_verification is now a thin wrapper over it.
+// Only the worker count is settable.  tests/session_reference.hpp holds
+// the sequential oracle (one whole-set proof set per role, plain
+// Mtt::verify) that the differential tests compare sessions against.
 #pragma once
 
 #include <cstddef>
@@ -40,23 +40,9 @@ namespace spider::verify {
 struct SessionConfig {
   /// Worker threads generating and signing round bundles.  1 = serial.
   unsigned jobs = 1;
-  /// Bounded in-flight window: at most `window * jobs` rounds are being
-  /// generated ahead of the checker; also the signature-batch flush size.
-  unsigned window = 1;
-  /// Prefixes per challenge round.  0 = the whole (neighbor, role) set in
-  /// one round — the sequential wire layout, byte-identical to the old
-  /// flow's proof bundles.
-  std::size_t round_prefixes = 0;
-  /// Memoize interior proof subpaths across rounds (ProofPathCache).
-  bool use_cache = false;
-  /// Batch same-key RSA signature checks per flush window.
-  bool batch_signatures = false;
-  /// Cached (position, label) pairs kept per distinct root.
-  std::size_t cache_capacity = 1 << 16;
 };
 
-/// The full-pipeline configuration: `jobs` worker threads (0 = hardware
-/// concurrency), a 4-round window, subpath cache and signature batching.
+/// A session on `jobs` worker threads (0 = hardware concurrency).
 SessionConfig pipelined_config(unsigned jobs = 0);
 
 struct SessionStats {
@@ -82,8 +68,7 @@ struct SessionStats {
   // Reconstruction served from the proof generator's cache (0 or 1).
   std::uint64_t reconstruct_cache_hits = 0;
   // Wall clock: session = the challenge/response part; reconstruction is
-  // the elector's replay prep, identical in every configuration and 0
-  // when the cache served it.
+  // the elector's replay prep, 0 when the cache served it.
   double session_seconds = 0;
   double reconstruct_seconds = 0;
   double total_seconds = 0;
@@ -95,10 +80,9 @@ struct SessionResult {
 };
 
 /// Runs a verification session for `elector`'s commitment at
-/// `commit_time`.  Identical verdicts, evidence and detections to the
-/// sequential flow for every configuration; only cost and wire layout
-/// change.  `extended` runs the §6.6 RE-ANNOUNCE protocol; `within`
-/// restricts to a prefix subtree (§7.3).
+/// `commit_time`.  Verdicts, evidence and detections do not depend on
+/// `config.jobs`.  `extended` runs the §6.6 RE-ANNOUNCE protocol;
+/// `within` restricts to a prefix subtree (§7.3).
 SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
                           proto::Time commit_time, const SessionConfig& config,
                           bool extended = false,
@@ -107,11 +91,13 @@ SessionResult run_session(proto::Fig5Deployment& deploy, bgp::AsNumber elector,
 /// The memoizing bit-proof verifier the engine plugs into Checker.
 /// Accept/reject agrees with core::Mtt::verify on every proof whose
 /// subpaths were honestly cached (the cache only ever holds pairs from
-/// fully verified proofs).  Exposed for the differential tests.
+/// fully verified proofs).  NodeHost's checker role uses it too.
 class CachedProofVerifier {
  public:
-  CachedProofVerifier(bool use_cache, std::size_t cache_capacity)
-      : use_cache_(use_cache), cache_capacity_(cache_capacity) {}
+  /// Cached (position, label) pairs kept per distinct root.
+  static constexpr std::size_t kCacheCapacity = 1 << 16;
+
+  explicit CachedProofVerifier(std::size_t cache_capacity) : cache_capacity_(cache_capacity) {}
 
   /// Drop-in for core::Mtt::verify.  Always recomputes the revealed leaf
   /// openings and the prefix label (they are the claim under test); only
@@ -126,7 +112,6 @@ class CachedProofVerifier {
  private:
   ProofPathCache& cache_for(const Digest20& root);
 
-  bool use_cache_;
   std::size_t cache_capacity_;
   std::map<Digest20, ProofPathCache> caches_;  // one per distinct root
   std::uint64_t digest_ops_ = 0;

@@ -1,10 +1,12 @@
-// The verification-session orchestrator: one call runs the full §4.5/§6.1
-// flow over a deployment and reports per-neighbor verdicts.
+// The verification session: one verify::run_session call runs the full
+// §4.5/§6.1 flow over a deployment and reports per-neighbor verdicts.
 #include <gtest/gtest.h>
 
 #include "spider/verification.hpp"
+#include "verify/session.hpp"
 
 namespace sp = spider::proto;
+namespace sv = spider::verify;
 namespace sc = spider::core;
 namespace sb = spider::bgp;
 namespace st = spider::trace;
@@ -48,7 +50,7 @@ struct SessionWorld {
 
 TEST(VerificationSession, CleanRunIsClean) {
   SessionWorld world;
-  auto report = sp::run_verification(world.deploy, 5, world.commit_time);
+  auto report = sv::run_session(world.deploy, 5, world.commit_time, {}).report;
   EXPECT_TRUE(report.clean()) << report.findings().front();
   EXPECT_TRUE(report.root_matches);
   EXPECT_FALSE(report.equivocation.has_value());
@@ -59,7 +61,7 @@ TEST(VerificationSession, CleanRunIsClean) {
 
 TEST(VerificationSession, ExtendedCleanRunIsClean) {
   SessionWorld world;
-  auto report = sp::run_verification(world.deploy, 5, world.commit_time, /*extended=*/true);
+  auto report = sv::run_session(world.deploy, 5, world.commit_time, {}, /*extended=*/true).report;
   EXPECT_TRUE(report.clean()) << report.findings().front();
 }
 
@@ -68,7 +70,7 @@ TEST(VerificationSession, HiddenRouteSurfacesAtTheRightNeighbor) {
     deploy.speaker(5).inject_import_filter_fault(2);
     deploy.recorder(5).faults().ignore_inputs = {2};
   });
-  auto report = sp::run_verification(world.deploy, 5, world.commit_time);
+  auto report = sv::run_session(world.deploy, 5, world.commit_time, {}).report;
   EXPECT_FALSE(report.clean());
   for (const auto& verdict : report.verdicts) {
     if (verdict.neighbor == 2) {
@@ -83,12 +85,12 @@ TEST(VerificationSession, HiddenRouteSurfacesAtTheRightNeighbor) {
 
 TEST(VerificationSession, SubtreeRestrictionShrinksProofBytes) {
   SessionWorld world;
-  auto full = sp::run_verification(world.deploy, 5, world.commit_time);
+  auto full = sv::run_session(world.deploy, 5, world.commit_time, {}).report;
   // Restrict to the /4 covering the first imported prefix.
   auto imports = world.deploy.recorder(6).my_imports_from(5);
   ASSERT_FALSE(imports.empty());
   sb::Prefix subtree(imports.begin()->first.bits(), 4);
-  auto restricted = sp::run_verification(world.deploy, 5, world.commit_time, false, subtree);
+  auto restricted = sv::run_session(world.deploy, 5, world.commit_time, {}, false, subtree).report;
   EXPECT_TRUE(restricted.clean());
   EXPECT_LT(restricted.proof_bytes, full.proof_bytes);
   EXPECT_GT(restricted.proof_bytes, 0u);
@@ -96,7 +98,7 @@ TEST(VerificationSession, SubtreeRestrictionShrinksProofBytes) {
 
 TEST(VerificationSession, ReportsElapsedTime) {
   SessionWorld world;
-  auto report = sp::run_verification(world.deploy, 5, world.commit_time);
+  auto report = sv::run_session(world.deploy, 5, world.commit_time, {}).report;
   EXPECT_GT(report.elapsed_seconds, 0.0);
   EXPECT_EQ(report.elector, 5u);
   EXPECT_EQ(report.commit_time, world.commit_time);
@@ -107,7 +109,7 @@ TEST(VerificationSession, VerifiesOtherElectorsToo) {
   SessionWorld world;
   auto t2 = world.deploy.recorder(2).make_commitment().timestamp;
   world.deploy.sim().run();
-  auto report = sp::run_verification(world.deploy, 2, t2);
+  auto report = sv::run_session(world.deploy, 2, t2, {}).report;
   EXPECT_TRUE(report.clean()) << report.findings().front();
   EXPECT_EQ(report.verdicts.size(), world.deploy.neighbors_of(2).size());
 }

@@ -1,14 +1,19 @@
-// The src/verify session engine: the pipelined/cached/batched
-// configuration must be observationally identical to the sequential
-// baseline — same verdicts, same evidence strings, same detections —
-// across clean and misbehaving deployments.  Plus the unit batteries for
-// the pieces: ProofPathCache under eviction and cross-subtree collisions,
+// The src/verify session engine: at 1 and 4 workers it must be
+// observationally identical to the sequential reference in
+// session_reference.hpp — same verdicts, same evidence strings, same
+// detections — across clean and misbehaving deployments, including tables
+// large enough that one neighbor role spans several rounds.  Plus the unit
+// batteries for the pieces: ProofPathCache under eviction and
+// cross-subtree collisions, CachedProofVerifier with a thrashing cache,
 // rsa_verify_batch against the scalar verifier (including one-bad-in-batch
 // isolation), and the generator-side MttProofMemo bit-identity contract.
+// The VerifySessionTsan suite runs under the tsan preset's `ctest -R Tsan`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -17,6 +22,7 @@
 #include "core/mtt.hpp"
 #include "crypto/random.hpp"
 #include "crypto/rsa.hpp"
+#include "session_reference.hpp"
 #include "spider/proof_generator.hpp"
 #include "transport/netsim_transport.hpp"
 #include "util/rng.hpp"
@@ -36,9 +42,9 @@ namespace {
 
 constexpr sn::Time kSecond = sn::kMicrosPerSecond;
 
-st::RouteViewsTrace engine_trace(std::uint64_t seed) {
+st::RouteViewsTrace engine_trace(std::uint64_t seed, std::size_t prefixes) {
   st::TraceConfig config;
-  config.num_prefixes = 250;
+  config.num_prefixes = prefixes;
   config.num_updates = 100;
   config.duration = 20 * kSecond;
   config.seed = seed;
@@ -59,8 +65,9 @@ struct EngineWorld {
   sn::Time commit_time = 0;
 
   explicit EngineWorld(std::uint64_t seed = 5, bool rsa = false,
-                       std::function<void(sp::Fig5Deployment&)> before = {})
-      : trace(engine_trace(seed)), deploy(engine_config(rsa)) {
+                       std::function<void(sp::Fig5Deployment&)> before = {},
+                       std::size_t prefixes = 250)
+      : trace(engine_trace(seed, prefixes)), deploy(engine_config(rsa)) {
     if (before) before(deploy);
     auto start = deploy.run_setup(trace, 20 * kSecond);
     deploy.run_replay(trace, start, 5 * kSecond);
@@ -88,49 +95,86 @@ void expect_same_detection(const std::optional<sc::Detection>& a,
 }
 
 /// The differential contract: every observable verdict and its evidence
-/// string must match between the two configurations.
-void expect_identical_reports(const sp::VerificationReport& seq,
-                              const sp::VerificationReport& pip) {
-  EXPECT_EQ(seq.elector, pip.elector);
-  EXPECT_EQ(seq.commit_time, pip.commit_time);
-  EXPECT_EQ(seq.root_matches, pip.root_matches);
-  expect_same_detection(seq.equivocation, pip.equivocation, "equivocation");
-  ASSERT_EQ(seq.verdicts.size(), pip.verdicts.size());
-  for (std::size_t i = 0; i < seq.verdicts.size(); ++i) {
-    EXPECT_EQ(seq.verdicts[i].neighbor, pip.verdicts[i].neighbor);
-    expect_same_detection(seq.verdicts[i].as_producer, pip.verdicts[i].as_producer, "as_producer");
-    expect_same_detection(seq.verdicts[i].as_consumer, pip.verdicts[i].as_consumer, "as_consumer");
-    expect_same_detection(seq.verdicts[i].extended, pip.verdicts[i].extended, "extended");
+/// string must match between the reference and the engine.
+void expect_identical_reports(const sp::VerificationReport& want,
+                              const sp::VerificationReport& got) {
+  EXPECT_EQ(want.elector, got.elector);
+  EXPECT_EQ(want.commit_time, got.commit_time);
+  EXPECT_EQ(want.root_matches, got.root_matches);
+  expect_same_detection(want.equivocation, got.equivocation, "equivocation");
+  ASSERT_EQ(want.verdicts.size(), got.verdicts.size());
+  for (std::size_t i = 0; i < want.verdicts.size(); ++i) {
+    EXPECT_EQ(want.verdicts[i].neighbor, got.verdicts[i].neighbor);
+    expect_same_detection(want.verdicts[i].as_producer, got.verdicts[i].as_producer,
+                          "as_producer");
+    expect_same_detection(want.verdicts[i].as_consumer, got.verdicts[i].as_consumer,
+                          "as_consumer");
+    expect_same_detection(want.verdicts[i].extended, got.verdicts[i].extended, "extended");
   }
 }
 
-void run_differential(EngineWorld& world, bool expect_clean) {
-  auto seq = sv::run_session(world.deploy, 5, world.commit_time, sv::SessionConfig{},
-                             /*extended=*/true);
-  auto pip = sv::run_session(world.deploy, 5, world.commit_time, sv::pipelined_config(),
-                             /*extended=*/true);
-  EXPECT_EQ(seq.report.clean(), expect_clean);
-  expect_identical_reports(seq.report, pip.report);
-  // The sequential baseline must stay honest: no cache, no memo, no
-  // batching.
-  EXPECT_EQ(seq.stats.cache_hits, 0u);
-  EXPECT_EQ(seq.stats.cache_misses, 0u);
-  EXPECT_EQ(seq.stats.signature_batches, 0u);
-  EXPECT_EQ(seq.stats.bytes_deduped, 0u);
-  // And both sides check the same number of proofs.
-  EXPECT_EQ(seq.stats.proofs_checked, pip.stats.proofs_checked);
+/// Runs an extended session on `jobs` workers and checks it against the
+/// sequential reference.  A clean session checks each expected proof
+/// exactly once, as the reference does; a faulty one may check more,
+/// since every round runs to its own first detection.
+sv::SessionResult check_against_reference(EngineWorld& world, unsigned jobs,
+                                          const spider::test::ReferenceSession& reference) {
+  auto session = sv::run_session(world.deploy, 5, world.commit_time, sv::pipelined_config(jobs),
+                                 /*extended=*/true);
+  expect_identical_reports(reference.report, session.report);
+  if (reference.report.clean()) {
+    EXPECT_EQ(session.stats.proofs_checked, reference.proofs_checked);
+  } else {
+    EXPECT_GE(session.stats.proofs_checked, reference.proofs_checked);
+  }
+  return session;
+}
 
-  // Rounds small enough that every neighbor role spans several chunks:
-  // the per-round first detections must merge to the sequential one.
-  sv::SessionConfig chunked = sv::pipelined_config();
-  chunked.round_prefixes = 32;
-  auto small = sv::run_session(world.deploy, 5, world.commit_time, chunked, /*extended=*/true);
-  expect_identical_reports(seq.report, small.report);
+void run_differential(EngineWorld& world, bool expect_clean) {
+  const auto reference =
+      spider::test::reference_session(world.deploy, 5, world.commit_time, /*extended=*/true);
+  EXPECT_EQ(reference.report.clean(), expect_clean);
+  for (unsigned jobs : {1u, 4u}) check_against_reference(world, jobs, reference);
+}
+
+/// The schedule an extended session makes when every neighbor holds the
+/// commitment: one round per 256 prefixes of each (neighbor, role) set the
+/// checker expects, plus one RE-ANNOUNCE round-trip per neighbor.
+struct ExpectedRounds {
+  std::uint64_t round_trips = 0;
+  std::size_t widest_set = 0;
+};
+
+ExpectedRounds expected_rounds(EngineWorld& world) {
+  ExpectedRounds out;
+  for (sb::AsNumber neighbor : world.deploy.neighbors_of(5)) {
+    ++out.round_trips;
+    const auto expected = sp::Checker::expectation(world.deploy.recorder(neighbor), 5);
+    for (std::size_t n : {expected.window.size(), expected.imports.size()}) {
+      out.round_trips += (n + 255) / 256;
+      out.widest_set = std::max(out.widest_set, n);
+    }
+  }
+  return out;
+}
+
+/// Runs `jobs` sessions over a world whose widest neighbor role spans
+/// several rounds, checking the schedule and the reference verdicts.
+void run_multi_round(EngineWorld& world, bool expect_clean, std::initializer_list<unsigned> jobs) {
+  const ExpectedRounds rounds = expected_rounds(world);
+  ASSERT_GT(rounds.widest_set, 256u);
+  const auto reference =
+      spider::test::reference_session(world.deploy, 5, world.commit_time, /*extended=*/true);
+  EXPECT_EQ(reference.report.clean(), expect_clean);
+  for (unsigned j : jobs) {
+    auto session = check_against_reference(world, j, reference);
+    EXPECT_EQ(session.stats.challenge_round_trips, rounds.round_trips);
+  }
 }
 
 }  // namespace
 
-// ------------------------------------------- pipelined-vs-sequential battery
+// ------------------------------------------------ engine-vs-reference battery
 
 TEST(VerifyEngineDifferential, CleanAcrossSeeds) {
   for (std::uint64_t seed : {5u, 11u, 23u}) {
@@ -211,7 +255,7 @@ TEST(VerifyEngineDifferential, StaleAnswer) {
   run_differential(world, /*expect_clean=*/false);
   // Round one's tree still matches round one's root; its proofs fail
   // against the round-two root every neighbor holds.
-  auto report = sp::run_verification(world.deploy, 5, world.commit_time);
+  auto report = sv::run_session(world.deploy, 5, world.commit_time, {}).report;
   EXPECT_TRUE(report.root_matches);
   std::size_t findings = 0;
   for (const auto& verdict : report.verdicts) {
@@ -226,41 +270,54 @@ TEST(VerifyEngineDifferential, StaleAnswer) {
 
 TEST(VerifyEngineDifferential, RsaSchemeWithBatching) {
   EngineWorld world(5, /*rsa=*/true);
-  auto seq = sv::run_session(world.deploy, 5, world.commit_time, sv::SessionConfig{},
-                             /*extended=*/true);
-  auto pip = sv::run_session(world.deploy, 5, world.commit_time, sv::pipelined_config(),
-                             /*extended=*/true);
-  expect_identical_reports(seq.report, pip.report);
-  EXPECT_GT(pip.stats.signature_batches, 0u);
-  EXPECT_EQ(pip.stats.bad_signatures, 0u);
-  // Every proof round is signature-checked; the 5 extended RE-ANNOUNCE
-  // round-trips carry no proof bundle.
-  EXPECT_EQ(pip.stats.signatures_verified + 5, pip.stats.challenge_round_trips);
+  const auto reference =
+      spider::test::reference_session(world.deploy, 5, world.commit_time, /*extended=*/true);
+  for (unsigned jobs : {1u, 4u}) {
+    auto session = check_against_reference(world, jobs, reference);
+    EXPECT_GT(session.stats.signature_batches, 0u);
+    EXPECT_EQ(session.stats.bad_signatures, 0u);
+    // Every proof round is signature-checked; the 5 extended RE-ANNOUNCE
+    // round-trips carry no proof bundle.
+    EXPECT_EQ(session.stats.signatures_verified + 5, session.stats.challenge_round_trips);
+  }
+}
+
+// Tables large enough that some neighbor role spans several 256-prefix
+// rounds: per-round first detections must merge to the reference's.
+
+TEST(VerifyEngineDifferential, MultiRoundClean) {
+  EngineWorld world(5, false, {}, /*prefixes=*/700);
+  run_multi_round(world, /*expect_clean=*/true, {1, 4});
+}
+
+TEST(VerifyEngineDifferential, MultiRoundTamperedBitProof) {
+  EngineWorld world(5, false, {}, /*prefixes=*/700);
+  world.deploy.proof_generator(5).faults().tamper_classes = {0};
+  run_multi_round(world, /*expect_clean=*/false, {1, 4});
 }
 
 TEST(VerifyEngine, PipelinedStatsShowTheCacheWorking) {
   EngineWorld world;
-  auto pip = sv::run_session(world.deploy, 5, world.commit_time, sv::pipelined_config(),
-                             /*extended=*/true);
+  auto pip = sv::run_session(world.deploy, 5, world.commit_time, {}, /*extended=*/true);
   EXPECT_GT(pip.stats.cache_hits, 0u);
   EXPECT_GT(pip.stats.digest_ops_saved, 0u);
   EXPECT_GT(pip.stats.bytes_deduped, 0u);
-  EXPECT_GT(pip.stats.challenge_round_trips, 6u);  // chunked rounds
-  // Shipped and deduped bytes are accounted separately (the satellite
-  // fix): dedup never reduces the shipped figure.
+  EXPECT_GT(pip.stats.challenge_round_trips, 6u);  // proof rounds + RE-ANNOUNCE requests
+  // Shipped and deduped bytes are accounted separately: dedup never
+  // reduces the shipped figure.
   EXPECT_EQ(pip.report.proof_bytes, pip.stats.bytes_shipped);
   EXPECT_EQ(pip.report.proof_bytes_deduped, pip.stats.bytes_deduped);
 }
 
-TEST(VerifyEngine, NoCacheConfigDisablesDedup) {
-  EngineWorld world;
-  auto config = sv::pipelined_config();
-  config.use_cache = false;
-  auto result = sv::run_session(world.deploy, 5, world.commit_time, config, /*extended=*/true);
-  EXPECT_TRUE(result.report.clean());
-  EXPECT_EQ(result.stats.cache_hits, 0u);
-  EXPECT_EQ(result.stats.bytes_deduped, 0u);
-  EXPECT_EQ(result.report.proof_bytes_deduped, 0u);
+// ------------------------------------------------------ concurrency (TSan)
+
+// Four workers share the signer, the reconstruction, the mutex-guarded
+// MttProofMemo and the in-order consumer hand-off; the tsan preset runs
+// this suite via `ctest -R Tsan`.
+TEST(VerifySessionTsan, FourWorkersMatchTheReference) {
+  EngineWorld world(5, /*rsa=*/true, {}, /*prefixes=*/700);
+  world.deploy.proof_generator(5).faults().tamper_classes = {0};
+  run_multi_round(world, /*expect_clean=*/false, {4});
 }
 
 // ------------------------------------------------ reconstruction cache
@@ -272,7 +329,7 @@ sb::Prefix first_slash8(const st::RouteViewsTrace& trace) {
   return sb::Prefix(trace.rib_snapshot.front().prefix.bits(), 8);
 }
 
-/// Every (config, within) pair runs once on a fresh world, where the
+/// Every (jobs, within) pair runs once on a fresh world, where the
 /// session has to reconstruct, and once on a warmed world, where the
 /// deployment's generator serves the reconstruction from its cache.  The
 /// two reports must agree on every verdict, detail string, root_matches
@@ -280,9 +337,10 @@ sb::Prefix first_slash8(const st::RouteViewsTrace& trace) {
 void run_cache_differential(const std::function<void(sp::Fig5Deployment&)>& before,
                             bool expect_clean) {
   EngineWorld warm(5, false, before);
-  (void)sv::run_session(warm.deploy, 5, warm.commit_time, sv::SessionConfig{});
+  (void)sv::run_session(warm.deploy, 5, warm.commit_time, {});
   const std::optional<sb::Prefix> subtree = first_slash8(warm.trace);
-  for (const sv::SessionConfig& config : {sv::SessionConfig{}, sv::pipelined_config()}) {
+  for (unsigned jobs : {1u, 4u}) {
+    const sv::SessionConfig config = sv::pipelined_config(jobs);
     for (const std::optional<sb::Prefix>& within : {std::optional<sb::Prefix>{}, subtree}) {
       EngineWorld cold(5, false, before);
       auto fresh = sv::run_session(cold.deploy, 5, cold.commit_time, config, /*extended=*/true,
@@ -353,7 +411,7 @@ TEST(ReconstructionCache, PruneInvalidatesAndPrunedCommitmentStillThrows) {
   rec.enforce_retention(world.commit_time + 1);
   EXPECT_THROW((void)fresh.reconstruct(world.commit_time), std::invalid_argument);
   EXPECT_THROW((void)generator.reconstruction(world.commit_time), std::invalid_argument);
-  EXPECT_THROW((void)sv::run_session(world.deploy, 5, world.commit_time, sv::SessionConfig{}),
+  EXPECT_THROW((void)sv::run_session(world.deploy, 5, world.commit_time, {}),
                std::invalid_argument);
 }
 
@@ -509,7 +567,8 @@ TEST(SubtreeSession, ReAnnounceFaultsStayInsideTheirSubtree) {
     return std::optional<sc::Detection>{};
   };
 
-  for (const sv::SessionConfig& config : {sv::SessionConfig{}, sv::pipelined_config()}) {
+  for (unsigned jobs : {1u, 4u}) {
+    const sv::SessionConfig config = sv::pipelined_config(jobs);
     auto subtree = sv::run_session(world.deploy, 5, world.commit_time, config,
                                    /*extended=*/true, block);
     auto found = extended_of(subtree.report, 6);
@@ -590,16 +649,32 @@ TEST(ProofPathCache, DuplicateInsertIsIdempotent) {
 
 TEST(CachedProofVerifier, TinyCacheStillVerifiesCorrectly) {
   // A verifier whose cache thrashes (capacity 2) must accept exactly the
-  // same proofs as an uncached one — eviction can cost hits, never
-  // correctness.
+  // proofs core::Mtt::verify accepts — eviction can cost hits, never
+  // correctness.  Tampered class-0 openings supply proofs to reject.
   EngineWorld world;
-  auto config = sv::pipelined_config();
-  config.cache_capacity = 2;
-  auto thrashed = sv::run_session(world.deploy, 5, world.commit_time, config, /*extended=*/true);
-  auto seq = sv::run_session(world.deploy, 5, world.commit_time, sv::SessionConfig{},
-                             /*extended=*/true);
-  expect_identical_reports(seq.report, thrashed.report);
-  EXPECT_GT(thrashed.stats.cache_evictions, 0u);
+  sp::ProofGenerator generator(world.deploy.recorder(5));
+  generator.faults().tamper_classes = {0};
+  const auto recon = generator.reconstruct(world.commit_time);
+  const spider::util::Digest20 root = recon.tree.root_label();
+  const std::uint32_t k = engine_config().num_classes;
+  sv::CachedProofVerifier verifier(2);
+  std::size_t accepted = 0, rejected = 0;
+  auto check = [&](const sc::MttPrefixProof& proof) {
+    const bool want = sc::Mtt::verify(root, k, proof);
+    EXPECT_EQ(verifier.verify(root, k, proof), want) << proof.prefix.str();
+    ++(want ? accepted : rejected);
+  };
+  for (sb::AsNumber neighbor : world.deploy.neighbors_of(5)) {
+    for (const auto& item : generator.proofs_for_producer(recon, neighbor).items) check(item.proof);
+    for (const auto& item : generator.proofs_for_consumer(recon, neighbor).items) check(item.proof);
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+  sv::SessionStats stats;
+  verifier.drain_into(stats);
+  EXPECT_EQ(stats.proofs_checked, accepted + rejected);
+  EXPECT_EQ(stats.proofs_accepted, accepted);
+  EXPECT_GT(stats.cache_evictions, 0u);
 }
 
 // --------------------------------------------------- rsa_verify_batch

@@ -3,8 +3,7 @@
 //   spiderctl demo [prefixes] [updates]      run the Fig. 5 deployment and
 //                                            verify AS 5's latest commitment
 //   spiderctl verify <as> [prefixes]         commit + verify any AS through
-//             [--jobs N] [--window N]        the pipelined session engine
-//             [--no-cache] [--sequential]    (src/verify)
+//             [--jobs N]                     the session engine (src/verify)
 //   spiderctl faults [prefixes]              run the §7.4 fault matrix
 //   spiderctl trace [prefixes] [updates]     print synthetic-trace statistics
 //   spiderctl mtt <prefixes> [classes]       build + label an MTT, print stats
@@ -13,10 +12,12 @@
 //
 // All runs are deterministic for a given size (fixed seeds).
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <thread>
 
 #include "chaos/matrix.hpp"
 #include "spider/verification.hpp"
@@ -65,28 +66,9 @@ void print_session_stats(const verify::SessionStats& stats) {
               stats.reconstruct_seconds, stats.session_seconds);
 }
 
-/// Session shape for `spiderctl verify`: defaults to the full pipeline;
-/// --jobs 1 --window 1 (or --sequential) is the pre-engine sequential
-/// flow, byte-identical to the original run_verification.
-struct VerifyOptions {
-  unsigned jobs = 0;  // 0 = hardware concurrency
-  unsigned window = 4;
-  bool no_cache = false;
-  bool sequential = false;
-};
-
-verify::SessionConfig session_config(const VerifyOptions& opts) {
-  verify::SessionConfig config;  // default-constructed = sequential
-  if (!opts.sequential && !(opts.jobs == 1 && opts.window == 1)) {
-    config = verify::pipelined_config(opts.jobs);
-    config.window = opts.window;
-  }
-  if (opts.no_cache) config.use_cache = false;
-  return config;
-}
-
+/// `jobs` = session worker threads, 0 = hardware concurrency.
 int cmd_verify(bgp::AsNumber elector, std::size_t prefixes, bool inject_fault,
-               const VerifyOptions& opts = {}) {
+               unsigned jobs = 0) {
   auto tr = make_trace(prefixes, prefixes / 4);
   proto::DeploymentConfig config;
   config.num_classes = 50;
@@ -103,8 +85,8 @@ int cmd_verify(bgp::AsNumber elector, std::size_t prefixes, bool inject_fault,
 
   auto commit_time = deploy.recorder(elector).make_commitment().timestamp;
   deploy.sim().run();
-  auto result =
-      verify::run_session(deploy, elector, commit_time, session_config(opts), /*extended=*/true);
+  auto result = verify::run_session(deploy, elector, commit_time, verify::pipelined_config(jobs),
+                                    /*extended=*/true);
   print_report(result.report);
   print_session_stats(result.stats);
   return result.report.clean() == !inject_fault ? 0 : 1;
@@ -225,13 +207,24 @@ std::size_t arg_or(int argc, char** argv, int index, std::size_t fallback) {
   return static_cast<std::size_t>(std::strtoull(argv[index], nullptr, 10));
 }
 
+/// Parses a session worker count: a decimal integer in [0, cores].
+bool parse_jobs(const char* text, unsigned& jobs) {
+  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
+  unsigned value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [last, error] = std::from_chars(text, end, value);
+  if (text == end || error != std::errc{} || last != end || value > cores) return false;
+  jobs = value;
+  return true;
+}
+
 void usage() {
   std::printf(
       "spiderctl — SPIDeR (SIGCOMM'12) reproduction driver\n"
       "  spiderctl demo   [prefixes] [updates]   full deployment + verification\n"
       "  spiderctl verify <as> [prefixes]        commit + verify one AS via the\n"
-      "            [--jobs N] [--window N]       pipelined session engine\n"
-      "            [--no-cache] [--sequential]   (defaults: all cores, window 4)\n"
+      "            [--jobs N]                    session engine (N in 0..cores,\n"
+      "                                          default 0 = all cores)\n"
       "  spiderctl faults [prefixes]             run the fault matrix\n"
       "  spiderctl trace  [prefixes] [updates]   synthetic trace statistics\n"
       "  spiderctl mtt    <prefixes> [classes]   build + label an MTT\n"
@@ -255,19 +248,15 @@ int main(int argc, char** argv) {
       usage();
       return 2;
     }
-    VerifyOptions opts;
+    unsigned jobs = 0;
     std::size_t prefixes = 2000;
     bool have_prefixes = false;
     for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-        opts.jobs = static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10));
-      } else if (std::strcmp(argv[i], "--window") == 0 && i + 1 < argc) {
-        opts.window =
-            std::max(1u, static_cast<unsigned>(std::strtoul(argv[++i], nullptr, 10)));
-      } else if (std::strcmp(argv[i], "--no-cache") == 0) {
-        opts.no_cache = true;
-      } else if (std::strcmp(argv[i], "--sequential") == 0) {
-        opts.sequential = true;
+      if (std::strcmp(argv[i], "--jobs") == 0) {
+        if (i + 1 == argc || !parse_jobs(argv[++i], jobs)) {
+          usage();
+          return 2;
+        }
       } else if (!have_prefixes) {
         prefixes = static_cast<std::size_t>(std::strtoull(argv[i], nullptr, 10));
         have_prefixes = true;
@@ -276,7 +265,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    return cmd_verify(static_cast<bgp::AsNumber>(std::atoi(argv[2])), prefixes, false, opts);
+    return cmd_verify(static_cast<bgp::AsNumber>(std::atoi(argv[2])), prefixes, false, jobs);
   }
   if (std::strcmp(cmd, "faults") == 0) {
     return cmd_faults(arg_or(argc, argv, 2, 1000));
