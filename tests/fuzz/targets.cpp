@@ -31,6 +31,7 @@
 #include "transport/framing.hpp"
 #include "transport/netsim_transport.hpp"
 #include "util/serde.hpp"
+#include "verify/node_client.hpp"
 #include "verify/node_host.hpp"
 
 namespace spider::fuzz {
@@ -664,6 +665,107 @@ void register_node_control_target() {
   registry().push_back(std::move(target));
 }
 
+/// A NodeClient and the node its replies come from, on one simulator.
+struct ClientFixture {
+  netsim::Simulator sim;
+  spider::transport::NetsimTransport client_net{sim}, node_net{sim};
+  spider::verify::NodeClient client{client_net, [] {}};  // never waits here
+  netsim::NodeId node = 0;
+
+  ClientFixture() {
+    const netsim::NodeId client_node = sim.add_node(client_net, "client");
+    node = sim.add_node(node_net, "node");
+    sim.connect(client_node, node, 1'000);
+    client_net.register_peer(NodeFixture::kRecorder, node);
+  }
+};
+
+/// The reply types a client receives, plus one (kInject) no request
+/// produces.
+constexpr sp::NodeFrameType kClientReplies[] = {
+    sp::NodeFrameType::kStats, sp::NodeFrameType::kCommitNotify, sp::NodeFrameType::kProofBundle,
+    sp::NodeFrameType::kCheckResult, sp::NodeFrameType::kInject};
+
+/// Input: one byte choosing a reply type, then the body.  The client must
+/// never throw, and must count the frame as dropped exactly when its body
+/// does not decode as that reply or the type is unexpected.
+void node_client_check(ByteSpan data) {
+  if (data.empty()) throw su::DecodeError("node_client: empty input");
+  sp::NodeFrame frame;
+  frame.type = kClientReplies[data[0] % std::size(kClientReplies)];
+  frame.body.assign(data.begin() + 1, data.end());
+  bool accepted = true;
+  try {
+    switch (frame.type) {
+      case sp::NodeFrameType::kStats:
+        (void)sp::StatsFrame::decode(frame.body);
+        break;
+      case sp::NodeFrameType::kCommitNotify:
+        (void)sp::SpiderCommit::decode(frame.body);
+        break;
+      case sp::NodeFrameType::kProofBundle:
+        (void)sp::ProofBundleFrame::decode(frame.body);
+        break;
+      case sp::NodeFrameType::kCheckResult:
+        (void)sp::CheckResultFrame::decode(frame.body);
+        break;
+      default:
+        accepted = false;
+    }
+  } catch (const su::DecodeError&) {
+    accepted = false;
+  }
+  static ClientFixture fixture;
+  const std::uint64_t dropped_before = fixture.client.frames_dropped();
+  try {
+    fixture.client_net.handle_message(fixture.node, frame.encode());
+  } catch (const std::exception& e) {
+    throw std::logic_error(std::string("node_client: the client threw: ") + e.what());
+  }
+  if (fixture.client.frames_dropped() - dropped_before != (accepted ? 0u : 1u)) {
+    throw std::logic_error(accepted ? "node_client: a valid reply was dropped"
+                                    : "node_client: a bad reply was not counted as dropped");
+  }
+}
+
+void register_node_client_target() {
+  sp::StatsFrame stats;
+  stats.token = 3;
+  stats.updates_mirrored = 256;
+  sp::SpiderCommit commit;
+  commit.timestamp = 20'000;
+  commit.from_as = NodeFixture::kRecorder;
+  commit.num_classes = 8;
+  sp::ProofBundleFrame bundle;
+  bundle.elector = NodeFixture::kRecorder;
+  bundle.commit_time = 20'000;
+  bundle.consumer = NodeFixture::kChecker;
+  bundle.round = 1;
+  bundle.round_count = 4;
+  bundle.root_matches = 1;
+  bundle.producer_proofs = sp::ProducerProofs{}.encode();
+  bundle.consumer_proofs = sp::ConsumerProofs{}.encode();
+  sp::CheckResultFrame result;
+  result.ok = result.producer_ok = result.consumer_ok = result.root_matches = 1;
+  result.detail = "clean: 64 imports checked";
+  sp::InjectFrame inject;
+  inject.update.announced.push_back(make_route("10.20.0.0/16", {1000, 64496}));
+
+  const Bytes bodies[] = {stats.encode(), commit.encode(), bundle.encode(), result.encode(),
+                          inject.encode()};
+  Target target;
+  target.name = "node_client";
+  for (std::uint8_t type = 0; type < std::size(bodies); ++type) {
+    Bytes input{type};
+    input.insert(input.end(), bodies[type].begin(), bodies[type].end());
+    target.corpus.push_back(std::move(input));
+  }
+  target.decode = node_client_check;
+  target.reencode = nullptr;
+  target.canonical = false;
+  registry().push_back(std::move(target));
+}
+
 /// Segmentation-independence oracle over the stream-frame reassembler: the
 /// input chooses a segmentation of a byte stream, which is replayed both
 /// in those segments and byte-at-a-time.  Frames are drained after every
@@ -718,6 +820,7 @@ void frame_reassembly_check(ByteSpan data) {
 void register_transport_targets() {
   register_node_wire_targets();
   register_node_control_target();
+  register_node_client_target();
 
   // Corpus: three framed payloads, split as 2 listed segments + remainder.
   Bytes stream;

@@ -8,7 +8,6 @@
 //       --peer 2:127.0.0.1:47702 --trust 905 --commit-interval-ms 250
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -21,14 +20,13 @@ using transport::PeerId;
 
 namespace {
 
-int usage(const char* argv0) {
+void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --role recorder|checker|proofgen --as N --listen PORT\n"
                "          [--port-file FILE] [--peer ID:HOST:PORT]... [--neighbor AS]...\n"
                "          [--trust PEERID]... [--elector AS (proofgen: required)]\n"
                "          [--num-classes N] [--commit-interval-ms N] [--batch-window-ms N]\n",
                argv0);
-  return 2;
 }
 
 }  // namespace
@@ -39,36 +37,34 @@ int main(int argc, char** argv) {
   std::uint16_t listen = 0;
   std::string port_file;
   std::vector<PeerSpec> peers;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) std::exit(usage(argv[0]));
-      return argv[++i];
-    };
+  nodetool::Args args{argc, argv, usage};
+  constexpr proto::Time kMs = 1000;
+  while (const char* flag = args.next_flag()) {
+    const std::string arg = flag;
     if (arg == "--role") {
-      role = next();
+      role = args.value();
     } else if (arg == "--as" || arg == "--id") {
-      config.id = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      config.id = args.number<std::uint32_t>(1);
     } else if (arg == "--listen") {
-      listen = static_cast<std::uint16_t>(std::strtoul(next(), nullptr, 10));
+      listen = args.number<std::uint16_t>();
     } else if (arg == "--port-file") {
-      port_file = next();
+      port_file = args.value();
     } else if (arg == "--peer") {
-      peers.push_back(nodetool::parse_peer_spec(next()));
+      peers.push_back(args.peer());
     } else if (arg == "--neighbor") {
-      config.neighbors.push_back(static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10)));
+      config.neighbors.push_back(args.number<std::uint32_t>(1));
     } else if (arg == "--trust") {
-      config.trusted_log_peers.insert(static_cast<PeerId>(std::strtoul(next(), nullptr, 10)));
+      config.trusted_log_peers.insert(args.number<PeerId>(1));
     } else if (arg == "--elector") {
-      config.elector = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      config.elector = args.number<std::uint32_t>(1);
     } else if (arg == "--num-classes") {
-      config.num_classes = static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
+      config.num_classes = args.number<std::uint32_t>(1);
     } else if (arg == "--commit-interval-ms") {
-      config.commit_interval = std::strtol(next(), nullptr, 10) * 1000;
+      config.commit_interval = args.number<std::uint32_t>(1) * kMs;
     } else if (arg == "--batch-window-ms") {
-      config.batch_window = std::strtol(next(), nullptr, 10) * 1000;
+      config.batch_window = args.number<std::uint32_t>() * kMs;
     } else {
-      return usage(argv[0]);
+      args.fail();
     }
   }
   if (role == "recorder") {
@@ -78,9 +74,9 @@ int main(int argc, char** argv) {
   } else if (role == "proofgen" && config.elector != 0) {
     config.role = verify::NodeRole::kProofgen;
   } else {
-    return usage(argv[0]);
+    args.fail();
   }
-  if (config.id == 0) return usage(argv[0]);
+  if (config.id == 0) args.fail();
 
   signal(SIGPIPE, SIG_IGN);
   setvbuf(stdout, nullptr, _IOLBF, 0);  // keep progress visible under redirection

@@ -12,14 +12,15 @@
 //
 // All runs are deterministic for a given size (fixed seeds).
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <thread>
 
 #include "chaos/matrix.hpp"
+#include "node_common.hpp"
 #include "spider/verification.hpp"
 #include "verify/session.hpp"
 
@@ -210,12 +211,9 @@ std::size_t arg_or(int argc, char** argv, int index, std::size_t fallback) {
 /// Parses a session worker count: a decimal integer in [0, cores].
 bool parse_jobs(const char* text, unsigned& jobs) {
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  unsigned value = 0;
-  const char* end = text + std::strlen(text);
-  const auto [last, error] = std::from_chars(text, end, value);
-  if (text == end || error != std::errc{} || last != end || value > cores) return false;
-  jobs = value;
-  return true;
+  const auto value = nodetool::parse_number<unsigned>(text, 0, cores);
+  if (value) jobs = *value;
+  return value.has_value();
 }
 
 void usage() {
@@ -244,28 +242,33 @@ int main(int argc, char** argv) {
     return cmd_verify(5, arg_or(argc, argv, 2, 2000), false);
   }
   if (std::strcmp(cmd, "verify") == 0) {
-    if (argc < 3) {
+    // The AS must be one of Fig. 5's; the prefix count a decimal > 0.
+    const auto& ases = proto::Fig5Deployment::ases();
+    const auto elector = nodetool::parse_number<bgp::AsNumber>(argc < 3 ? "" : argv[2]);
+    if (!elector || std::find(ases.begin(), ases.end(), *elector) == ases.end()) {
       usage();
       return 2;
     }
     unsigned jobs = 0;
-    std::size_t prefixes = 2000;
-    bool have_prefixes = false;
+    std::optional<std::size_t> prefixes;
     for (int i = 3; i < argc; ++i) {
       if (std::strcmp(argv[i], "--jobs") == 0) {
         if (i + 1 == argc || !parse_jobs(argv[++i], jobs)) {
           usage();
           return 2;
         }
-      } else if (!have_prefixes) {
-        prefixes = static_cast<std::size_t>(std::strtoull(argv[i], nullptr, 10));
-        have_prefixes = true;
+      } else if (!prefixes) {
+        prefixes = nodetool::parse_number<std::size_t>(argv[i], 1);
+        if (!prefixes) {
+          usage();
+          return 2;
+        }
       } else {
         usage();
         return 2;
       }
     }
-    return cmd_verify(static_cast<bgp::AsNumber>(std::atoi(argv[2])), prefixes, false, jobs);
+    return cmd_verify(*elector, prefixes.value_or(2000), false, jobs);
   }
   if (std::strcmp(cmd, "faults") == 0) {
     return cmd_faults(arg_or(argc, argv, 2, 1000));

@@ -3,8 +3,9 @@
 #
 # Starts three spider_node processes (checker AS2, recorder AS5, proof
 # generator 905) on ephemeral loopback ports, then drives them with
-# spider_loadgen: a measured update burst for ingest rate, commit-latency
-# rounds, and a full proof-request -> check-request verification pass.
+# spider_loadgen: three measured update bursts for ingest rate, six
+# commit-latency rounds, and a four-round pipelined proof-request ->
+# check-request verification session.
 # The loadgen's kShutdown frames stop all three nodes; this script only
 # reaps them.  Exits non-zero if any process fails or verification is not
 # clean (the loadgen exits 1 on a dirty verdict).
@@ -74,9 +75,7 @@ status=0
     --recorder "5:127.0.0.1:$RPORT" \
     --checker "2:127.0.0.1:$CPORT" \
     --proofgen "905:127.0.0.1:$PPORT" \
-    --updates "$UPDATES" --warmup 5000 \
-    --latency-rounds 6 --latency-burst 500 \
-    --prefixes "$PREFIXES" --num-classes "$CLASSES" \
+    --updates "$UPDATES" --prefixes "$PREFIXES" --num-classes "$CLASSES" \
     --out "$OUT_JSON" || status=$?
 
 # The loadgen's shutdown frames end the nodes; give them a moment, then
