@@ -47,12 +47,16 @@ FlatCommitment::FlatCommitment(const std::vector<bool>& bits, const CommitmentPr
     : bits_(bits) {
   if (bits.empty()) throw std::invalid_argument("FlatCommitment: no bits");
   const std::size_t k = bits.size();
-  std::vector<std::uint64_t> indices(k);
-  for (std::size_t i = 0; i < k; ++i) indices[i] = i;
+  // x_i is window i % 3 of the bit triple at group i / 3.
+  const std::size_t groups = (k + 2) / 3;
+  std::vector<std::uint64_t> indices(groups);
+  for (std::size_t g = 0; g < groups; ++g) indices[g] = g;
+  std::vector<crypto::PrfTriple> triples(groups);
+  prf.derive3_batch(CommitmentPrf::Domain::kBit, indices.data(), groups, triples.data());
   std::vector<std::uint8_t> plain(k);
   for (std::size_t i = 0; i < k; ++i) plain[i] = bits[i] ? 1 : 0;
   xs_.resize(k);
-  prf.bit_randomness_batch(indices.data(), k, xs_.data());
+  for (std::size_t i = 0; i < k; ++i) xs_[i] = triples[i / 3][i % 3];
   leaves_.resize(k);
   bit_leaf_hash_batch(plain.data(), xs_.data(), k, leaves_.data());
   root_ = root_of(leaves_);

@@ -46,9 +46,10 @@ struct FlatBitProof {
 /// The elector-side commitment: knows every bit and every secret bitstring.
 class FlatCommitment {
  public:
-  /// Commits to `bits`; randomness (the x_i) is drawn from `prf` at
-  /// positions 0..k-1, so the same seed reproduces the same commitment
-  /// (paper §6.5: only the CSPRNG seed needs to be stored).
+  /// Commits to `bits`; randomness is drawn from `prf`'s bit domain, x_i
+  /// being window i % 3 of the triple at index i / 3, so the same seed
+  /// reproduces the same commitment (paper §6.5: only the CSPRNG seed
+  /// needs to be stored).
   FlatCommitment(const std::vector<bool>& bits, const CommitmentPrf& prf);
 
   const Digest20& root() const { return root_; }

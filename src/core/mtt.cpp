@@ -93,19 +93,18 @@ Digest20 mtt_fold_level(const bgp::Prefix& prefix, std::size_t level, const Dige
 
 // ------------------------------------------------------------ PRF indices
 
-std::uint64_t Mtt::bit_prf_index(const bgp::Prefix& prefix, ClassId cls) {
+std::uint64_t Mtt::bit_prf_index(const bgp::Prefix& prefix, std::uint32_t group) {
   // bgp::Prefix is canonical (bits beyond the length are zero), so the
   // (bits, length) pair identifies the prefix and the packing is injective
-  // for cls < 2^26: 32 prefix bits | 6 length bits | 26 class bits.
+  // for group < 2^26: 32 prefix bits | 6 length bits | 26 group bits.
   return (static_cast<std::uint64_t>(prefix.bits()) << 32) |
-         (static_cast<std::uint64_t>(prefix.length()) << 26) | cls;
+         (static_cast<std::uint64_t>(prefix.length()) << 26) | group;
 }
 
-std::uint64_t Mtt::dummy_prf_index(std::uint32_t path_bits, std::uint8_t depth, int slot) {
-  // 32 path bits | 6 depth bits | 2 slot bits; path bits below `depth` are
-  // zero (trie paths are canonical like prefixes), so this too is injective.
-  return (static_cast<std::uint64_t>(path_bits) << 32) |
-         (static_cast<std::uint64_t>(depth) << 2) | static_cast<std::uint64_t>(slot);
+std::uint64_t Mtt::dummy_prf_index(std::uint32_t path_bits, std::uint8_t depth) {
+  // 32 path bits | depth in the low bits; path bits below `depth` are zero
+  // (trie paths are canonical like prefixes), so this too is injective.
+  return (static_cast<std::uint64_t>(path_bits) << 32) | static_cast<std::uint64_t>(depth);
 }
 
 // ------------------------------------------------------------------ arena
@@ -217,6 +216,12 @@ Mtt Mtt::build(std::vector<std::pair<bgp::Prefix, std::vector<bool>>> entries,
 Mtt::Counts Mtt::counts() const {
   Counts c;
   c.inner = inner_.size() - inner_free_.size();
+  for (std::size_t i = 0; i < inner_.size(); ++i) {
+    const auto& kind = inner_[i].kind;
+    if (inner_alive_[i] && std::find(kind.begin(), kind.end(), ChildKind::kDummy) != kind.end()) {
+      ++c.inner_with_dummy;
+    }
+  }
   c.prefix = prefix_nodes_.size() - prefix_free_.size();
   c.dummy = dummy_count_;
   c.bit = c.prefix * num_classes_;
@@ -346,14 +351,16 @@ void Mtt::apply(const std::vector<MttUpdate>& updates) {
 void Mtt::label_prefix_ids(const std::uint32_t* ids, std::size_t n,
                            const crypto::CommitmentPrf& prf, std::uint64_t& hashes) {
   const std::uint32_t k = num_classes_;
-  // Derive all x values for a chunk of prefix nodes, hash all their
-  // leaves, then hash the per-node leaf concatenations — three
-  // digest20_batch calls of uniform-length messages, so the SHA-512 lanes
-  // stay full.  Hash accounting counts one hash per PRF derivation, leaf
-  // and prefix label (2 per bit, 1 per prefix node).
+  const std::uint32_t groups = (k + 2) / 3;
+  // Derive the x triples for a chunk of prefix nodes, hash all their
+  // leaves, then hash the per-node leaf concatenations — three lane calls
+  // of uniform-length messages, so the SHA-512 lanes stay full.  Hash
+  // accounting counts one hash per PRF triple, leaf and prefix label
+  // (ceil(k/3) + k + 1 per prefix node).
   constexpr std::size_t kNodeChunk = 16;
   const std::size_t max_bits = kNodeChunk * k;
-  std::vector<std::uint64_t> indices(max_bits);
+  std::vector<std::uint64_t> indices(kNodeChunk * groups);
+  std::vector<crypto::PrfTriple> triples(kNodeChunk * groups);
   std::vector<std::uint8_t> bits(max_bits);
   std::vector<Digest20> xs(max_bits);
   std::vector<Digest20> leaves(max_bits);
@@ -366,53 +373,57 @@ void Mtt::label_prefix_ids(const std::uint32_t* ids, std::size_t n,
     const std::size_t m = c * k;
     for (std::size_t node = 0; node < c; ++node) {
       const std::uint32_t id = ids[base + node];
+      for (std::uint32_t g = 0; g < groups; ++g) {
+        indices[node * groups + g] = bit_prf_index(prefix_nodes_[id], g);
+      }
       const std::uint64_t storage = static_cast<std::uint64_t>(id) * k;
       for (std::uint32_t cls = 0; cls < k; ++cls) {
-        const std::size_t j = node * k + cls;
-        indices[j] = bit_prf_index(prefix_nodes_[id], cls);
-        bits[j] = stored_bit(storage + cls) ? 1 : 0;
+        bits[node * k + cls] = stored_bit(storage + cls) ? 1 : 0;
       }
     }
-    prf.bit_randomness_batch(indices.data(), m, xs.data());
+    prf.derive3_batch(crypto::CommitmentPrf::Domain::kBit, indices.data(), c * groups,
+                      triples.data());
+    for (std::size_t node = 0; node < c; ++node) {
+      for (std::uint32_t cls = 0; cls < k; ++cls) {
+        xs[node * k + cls] = triples[node * groups + cls / 3][cls % 3];
+      }
+    }
     bit_leaf_hash_batch(bits.data(), xs.data(), m, leaves.data());
     for (std::size_t j = 0; j < c; ++j) {
       spans[j] = ByteSpan{leaves[j * k].data(), static_cast<std::size_t>(k) * sizeof(Digest20)};
     }
     crypto::digest20_batch(spans, c, chunk_labels);
     for (std::size_t j = 0; j < c; ++j) prefix_labels_[ids[base + j]] = chunk_labels[j];
-    hashes += static_cast<std::uint64_t>(c) * (2 * k + 1);
+    hashes += static_cast<std::uint64_t>(c) * (groups + k + 1);
   }
 }
 
-Digest20 Mtt::child_label(std::uint32_t inner_index, int slot,
-                          const crypto::CommitmentPrf& prf) const {
+const Digest20& Mtt::child_label(std::uint32_t inner_index, std::size_t slot) const {
   const Inner& node = inner_[inner_index];
-  std::size_t s = static_cast<std::size_t>(slot);
-  switch (node.kind[s]) {
-    case ChildKind::kInner: return inner_labels_[node.child[s]];
-    case ChildKind::kPrefix: return prefix_labels_[node.child[s]];
+  switch (node.kind[slot]) {
+    case ChildKind::kInner: return inner_labels_[node.child[slot]];
+    case ChildKind::kPrefix: return prefix_labels_[node.child[slot]];
     case ChildKind::kDummy:
-      return prf.dummy_label(dummy_prf_index(inner_path_[inner_index],
-                                             inner_depth_[inner_index], slot));
     case ChildKind::kNone: break;
   }
-  throw std::logic_error("Mtt: unassigned child slot");
+  throw std::logic_error("Mtt: child slot has no materialized label");
 }
 
 void Mtt::label_inner_ids(const std::uint32_t* ids, std::size_t n,
                           const crypto::CommitmentPrf& prf, std::uint64_t& hashes) {
-  // Lay out each node's c0 || c1 || cE message, deriving every dummy child
-  // of the chunk with one PRF batch call, then hash the chunk's 60-byte
-  // messages with one fixed-length lane call.  Labels equal
-  // mtt_combine_children over child_label(); hash accounting counts one
-  // combining hash plus one PRF derivation per dummy child.
+  // Lay out each node's c0 || c1 || cE message, deriving the dummy triple
+  // of every node in the chunk that has a dummy child with one PRF batch
+  // call, then hash the chunk's 60-byte messages with one fixed-length
+  // lane call.  Labels equal mtt_combine_children over child_label() and
+  // the node's dummy triple; hash accounting counts one combining hash per
+  // node plus one PRF triple per node with any dummy child.
   constexpr std::size_t kNodeChunk = 64;
   constexpr std::size_t kLabel = sizeof(Digest20);
   constexpr std::size_t kMsg = 3 * kLabel;
   std::uint8_t msgs[kNodeChunk * kMsg];
-  std::uint64_t dummy_indices[3 * kNodeChunk];
-  std::size_t dummy_offsets[3 * kNodeChunk];
-  Digest20 dummy_labels[3 * kNodeChunk];
+  std::uint64_t dummy_indices[kNodeChunk];
+  std::size_t dummy_nodes[kNodeChunk];
+  crypto::PrfTriple dummy_triples[kNodeChunk];
   Digest20 labels[kNodeChunk];
   for (std::size_t base = 0; base < n; base += kNodeChunk) {
     const std::size_t c = std::min(kNodeChunk, n - base);
@@ -420,27 +431,28 @@ void Mtt::label_inner_ids(const std::uint32_t* ids, std::size_t n,
     for (std::size_t j = 0; j < c; ++j) {
       const std::uint32_t id = ids[base + j];
       const Inner& node = inner_[id];
+      bool has_dummy = false;
       for (std::size_t s = 0; s < 3; ++s) {
-        const std::size_t offset = j * kMsg + s * kLabel;
-        switch (node.kind[s]) {
-          case ChildKind::kInner:
-            std::memcpy(msgs + offset, inner_labels_[node.child[s]].data(), kLabel);
-            break;
-          case ChildKind::kPrefix:
-            std::memcpy(msgs + offset, prefix_labels_[node.child[s]].data(), kLabel);
-            break;
-          case ChildKind::kDummy:
-            dummy_indices[dummies] =
-                dummy_prf_index(inner_path_[id], inner_depth_[id], static_cast<int>(s));
-            dummy_offsets[dummies++] = offset;
-            break;
-          case ChildKind::kNone: throw std::logic_error("Mtt: unassigned child slot");
+        if (node.kind[s] == ChildKind::kDummy) {
+          has_dummy = true;
+        } else {
+          std::memcpy(msgs + j * kMsg + s * kLabel, child_label(id, s).data(), kLabel);
         }
       }
+      if (has_dummy) {
+        dummy_indices[dummies] = dummy_prf_index(inner_path_[id], inner_depth_[id]);
+        dummy_nodes[dummies++] = j;
+      }
     }
-    prf.dummy_label_batch(dummy_indices, dummies, dummy_labels);
+    prf.derive3_batch(crypto::CommitmentPrf::Domain::kDummy, dummy_indices, dummies,
+                      dummy_triples);
     for (std::size_t d = 0; d < dummies; ++d) {
-      std::memcpy(msgs + dummy_offsets[d], dummy_labels[d].data(), kLabel);
+      const std::size_t j = dummy_nodes[d];
+      const Inner& node = inner_[ids[base + j]];
+      for (std::size_t s = 0; s < 3; ++s) {
+        if (node.kind[s] != ChildKind::kDummy) continue;
+        std::memcpy(msgs + j * kMsg + s * kLabel, dummy_triples[d][s].data(), kLabel);
+      }
     }
     crypto::digest20_batch(msgs, kMsg, c, labels);
     for (std::size_t j = 0; j < c; ++j) inner_labels_[ids[base + j]] = labels[j];
@@ -546,13 +558,17 @@ MttPrefixProof Mtt::prove(const crypto::CommitmentPrf& prf, const bgp::Prefix& p
     }
   }
   if (!have_material) {
-    // Derive the x value of each bit node exactly once and reuse it for
-    // both the openings and the bit labels; both batches run through the
-    // SHA-512 lanes.
-    std::vector<std::uint64_t> prf_indices(num_classes_);
-    for (std::uint32_t c = 0; c < num_classes_; ++c) prf_indices[c] = bit_prf_index(prefix, c);
+    // Derive the x value of each bit node exactly once (ceil(k/3) PRF
+    // triples) and reuse it for both the openings and the bit labels; both
+    // batches run through the SHA-512 lanes.
+    const std::uint32_t groups = (num_classes_ + 2) / 3;
+    std::vector<std::uint64_t> prf_indices(groups);
+    for (std::uint32_t g = 0; g < groups; ++g) prf_indices[g] = bit_prf_index(prefix, g);
+    std::vector<crypto::PrfTriple> triples(groups);
+    prf.derive3_batch(crypto::CommitmentPrf::Domain::kBit, prf_indices.data(), groups,
+                      triples.data());
     material.xs.resize(num_classes_);
-    prf.bit_randomness_batch(prf_indices.data(), prf_indices.size(), material.xs.data());
+    for (std::uint32_t c = 0; c < num_classes_; ++c) material.xs[c] = triples[c / 3][c % 3];
 
     std::vector<std::uint8_t> bits(num_classes_);
     for (std::uint32_t c = 0; c < num_classes_; ++c) bits[c] = stored_bit(storage_base + c) ? 1 : 0;
@@ -560,19 +576,29 @@ MttPrefixProof Mtt::prove(const crypto::CommitmentPrf& prf, const bgp::Prefix& p
     bit_leaf_hash_batch(bits.data(), material.xs.data(), num_classes_, material.bit_labels.data());
 
     // Path from the root to the prefix node's parent, recording the two
-    // non-path child labels at each level.
+    // non-path child labels at each level (one dummy triple per level that
+    // carries a dummy sibling).
     std::uint32_t node = 0;
     for (std::uint8_t depth = 0; depth <= prefix.length(); ++depth) {
       const Inner& inner = inner_[node];
-      int path_slot = mtt_path_slot(prefix, depth);
+      const auto path_slot = static_cast<std::size_t>(mtt_path_slot(prefix, depth));
       std::array<Digest20, 2> sibs{};
-      int out = 0;
-      for (int slot = 0; slot < 3; ++slot) {
+      std::optional<crypto::PrfTriple> dummies;
+      std::size_t out = 0;
+      for (std::size_t slot = 0; slot < 3; ++slot) {
         if (slot == path_slot) continue;
-        sibs[static_cast<std::size_t>(out++)] = child_label(node, slot, prf);
+        if (inner.kind[slot] == ChildKind::kDummy) {
+          if (!dummies) {
+            dummies = prf.derive3(crypto::CommitmentPrf::Domain::kDummy,
+                                  dummy_prf_index(inner_path_[node], inner_depth_[node]));
+          }
+          sibs[out++] = (*dummies)[slot];
+        } else {
+          sibs[out++] = child_label(node, slot);
+        }
       }
       material.siblings.push_back(sibs);
-      if (path_slot != kSlotE) node = inner.child[static_cast<std::size_t>(path_slot)];
+      if (path_slot != kSlotE) node = inner.child[path_slot];
     }
     if (memo != nullptr) {
       std::lock_guard<std::mutex> lock(memo->mutex_);

@@ -18,7 +18,11 @@
 //
 // PRF indexing is *content-addressed*: the x value of a bit node is derived
 // from (prefix, class) and a dummy node's label from its trie position
-// (path bits, depth, child slot) — never from allocation order.  The root
+// (path bits, depth, child slot) — never from allocation order.  One
+// SHA-512 PRF call yields three labels (crypto::CommitmentPrf::derive3):
+// x(prefix, c) is window c % 3 of the bit triple at bit_prf_index(prefix,
+// c / 3), and the dummy label at child slot s of an inner node is window s
+// of the dummy triple at its dummy_prf_index(path, depth).  The root
 // is therefore a pure function of (seed, contents): a tree whose structure
 // was grown through any sequence of apply() calls labels identically to
 // one built fresh from the same final table, which is what lets the proof
@@ -165,16 +169,18 @@ class Mtt {
   Mtt() = default;
 
   /// PRF indices are packed into 64 bits (32 prefix bits + 6 length bits
-  /// leave 26 bits for the class), so class counts are bounded.
+  /// leave 26 bits for the class group), so class counts are bounded.
   static constexpr std::uint32_t kMaxClasses = 1u << 26;
 
-  /// PRF index of the x value behind (prefix, cls): content-addressed, so
-  /// the same bit node draws the same randomness in any tree built over
-  /// the same table with the same seed.
-  static std::uint64_t bit_prf_index(const bgp::Prefix& prefix, ClassId cls);
-  /// PRF index of the dummy label at child `slot` of the inner node
-  /// identified by its trie position (path bits as in bgp::Prefix, depth).
-  static std::uint64_t dummy_prf_index(std::uint32_t path_bits, std::uint8_t depth, int slot);
+  /// PRF index of the bit triple behind classes 3*group .. 3*group + 2 of
+  /// `prefix`: content-addressed, so the same bit node draws the same
+  /// randomness in any tree built over the same table with the same seed.
+  /// x(prefix, c) is window c % 3 of the triple at group c / 3.
+  static std::uint64_t bit_prf_index(const bgp::Prefix& prefix, std::uint32_t group);
+  /// PRF index of the dummy triple of the inner node identified by its trie
+  /// position (path bits as in bgp::Prefix, depth); window s labels a
+  /// dummy in child slot s.
+  static std::uint64_t dummy_prf_index(std::uint32_t path_bits, std::uint8_t depth);
 
   /// Builds the minimal MTT over `entries` (prefix -> its k input bits).
   /// Entries are sorted internally; duplicate prefixes are rejected.
@@ -185,6 +191,9 @@ class Mtt {
 
   struct Counts {
     std::size_t inner = 0;
+    /// Inner nodes with at least one dummy child: each costs one dummy PRF
+    /// triple per labeling.
+    std::size_t inner_with_dummy = 0;
     std::size_t prefix = 0;
     std::size_t dummy = 0;
     std::size_t bit = 0;
@@ -234,7 +243,9 @@ class Mtt {
 
   /// Total number of hash evaluations performed by the last
   /// compute_labels() (for the labeling benchmarks and perfbench's
-  /// per-commit hash counter).
+  /// per-commit hash counter), one per digest call: ceil(k/3) PRF triples,
+  /// k leaves and 1 label per prefix node; 1 combining hash per inner
+  /// node, plus 1 PRF triple when any of its children is a dummy.
   std::uint64_t last_label_hashes() const { return label_hashes_; }
 
  private:
@@ -258,8 +269,9 @@ class Mtt {
   /// Inserts/removes/overwrites one entry of the structure.
   void apply_structural(const MttUpdate& update);
 
-  Digest20 child_label(std::uint32_t inner_index, int slot,
-                       const crypto::CommitmentPrf& prf) const;
+  /// Materialized label of a real (inner or prefix) child; throws on a
+  /// dummy or unassigned slot.
+  const Digest20& child_label(std::uint32_t inner_index, std::size_t slot) const;
   /// Labels the inner nodes in ids[0, n), which must all sit at one trie
   /// depth whose deeper levels are already labeled, through the lane
   /// batcher; accumulates the hash count into `hashes`.

@@ -27,41 +27,52 @@ Seed seed_from_string(std::string_view label) {
   return s;
 }
 
-Digest20 CommitmentPrf::derive(char domain, std::uint64_t index) const {
-  std::uint8_t suffix[9];
-  suffix[0] = static_cast<std::uint8_t>(domain);
-  for (int i = 0; i < 8; ++i) suffix[1 + i] = static_cast<std::uint8_t>(index >> (56 - 8 * i));
-  return digest20_concat({seed_.span(), ByteSpan{suffix, sizeof(suffix)}});
+namespace {
+
+constexpr std::size_t kPrfMsg = sizeof(Seed::data) + 9;
+static_assert(sizeof(PrfTriple) == 60, "PrfTriple must pack to three back-to-back labels");
+
+/// Cuts the three 20-byte windows out of a full digest.
+PrfTriple windows(const Sha512::Digest& full) {
+  PrfTriple out;
+  for (std::size_t w = 0; w < out.size(); ++w) {
+    std::memcpy(out[w].data(), full.data() + w * sizeof(Digest20), sizeof(Digest20));
+  }
+  return out;
 }
 
-void CommitmentPrf::bit_randomness_batch(const std::uint64_t* indices, std::size_t n,
-                                         Digest20* out) const {
-  derive_batch('x', indices, n, out);
+void store_index(std::uint8_t* p, std::uint64_t index) {
+  for (int b = 0; b < 8; ++b) p[b] = static_cast<std::uint8_t>(index >> (56 - 8 * b));
 }
 
-void CommitmentPrf::derive_batch(char domain, const std::uint64_t* indices, std::size_t n,
-                                 Digest20* out) const {
-  // Same bytes as derive(domain, index): seed || domain || big-endian
+}  // namespace
+
+PrfTriple CommitmentPrf::derive3(Domain domain, std::uint64_t index) const {
+  std::uint8_t msg[kPrfMsg];
+  std::memcpy(msg, seed_.data.data(), seed_.data.size());
+  msg[32] = static_cast<std::uint8_t>(domain);
+  store_index(msg + 33, index);
+  return windows(Sha512::hash(ByteSpan{msg, sizeof(msg)}));
+}
+
+void CommitmentPrf::derive3_batch(Domain domain, const std::uint64_t* indices, std::size_t n,
+                                  PrfTriple* out) const {
+  // Same bytes as derive3(domain, index): seed || domain || big-endian
   // index.  The seed and domain bytes are laid down once; each message
   // then only rewrites its 8 index bytes.
   constexpr std::size_t kChunk = 64;
-  constexpr std::size_t kMsg = sizeof(seed_.data) + 9;
-  std::uint8_t buf[kChunk * kMsg];
+  std::uint8_t buf[kChunk * kPrfMsg];
+  Sha512::Digest digests[kChunk];
   for (std::size_t k = 0; k < std::min(kChunk, n); ++k) {
-    std::uint8_t* m = buf + k * kMsg;
+    std::uint8_t* m = buf + k * kPrfMsg;
     std::memcpy(m, seed_.data.data(), seed_.data.size());
     m[32] = static_cast<std::uint8_t>(domain);
   }
-  std::size_t i = 0;
-  while (i < n) {
+  for (std::size_t i = 0; i < n; i += kChunk) {
     const std::size_t g = std::min(kChunk, n - i);
-    for (std::size_t k = 0; k < g; ++k) {
-      std::uint8_t* m = buf + k * kMsg;
-      const std::uint64_t index = indices[i + k];
-      for (int b = 0; b < 8; ++b) m[33 + b] = static_cast<std::uint8_t>(index >> (56 - 8 * b));
-    }
-    digest20_batch(buf, kMsg, g, out + i);
-    i += g;
+    for (std::size_t k = 0; k < g; ++k) store_index(buf + k * kPrfMsg + 33, indices[i + k]);
+    sha512_batch_fixed(buf, kPrfMsg, g, digests);
+    for (std::size_t k = 0; k < g; ++k) out[i + k] = windows(digests[k]);
   }
 }
 

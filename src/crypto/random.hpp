@@ -8,16 +8,22 @@
 //
 // Two derivations are provided:
 //  * Rc4Csprng        — the paper's construction, a sequential stream;
-//  * CommitmentPrf    — a positional PRF, x(index) = SHA-512(seed || index)
-//                       truncated to 20 bytes.  Functionally equivalent for
-//                       privacy (outputs are indistinguishable from hash
-//                       values without the seed) but random-access, which
+//  * CommitmentPrf    — a positional PRF with one derivation shape:
+//                       derive3(domain, index) = SHA-512(seed || domain ||
+//                       be64(index)) cut into three 20-byte windows
+//                       [0,20), [20,40), [40,60) (the last 4 bytes are
+//                       dropped), so one compression yields three labels.
+//                       Functionally equivalent for privacy (each window is
+//                       PRF output under the secret seed, indistinguishable
+//                       from a hash value, and revealing one says nothing
+//                       about its two group-mates) but random-access, which
 //                       lets the MTT labeler run in parallel and generate
 //                       bit proofs without materializing 20 bytes for every
 //                       one of millions of bit nodes.  DESIGN.md documents
 //                       this substitution.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "crypto/rc4.hpp"
@@ -44,40 +50,37 @@ Seed random_seed();
 /// Deterministically derives a seed from a label (tests and replayable sims).
 Seed seed_from_string(std::string_view label);
 
-/// Positional PRF over a commitment seed.  Domain-separated streams keep the
-/// x-values of bit nodes disjoint from dummy-node labels.
+/// Three 20-byte PRF windows cut from one SHA-512 output.
+using PrfTriple = std::array<Digest20, 3>;
+
+/// Positional PRF over a commitment seed.  Callers map their labels onto
+/// windows: the x value of bit node c is window c % 3 of group c / 3, and
+/// the three dummy labels of an inner node are the three windows of its
+/// own index (core/mtt.cpp, core/commitment.cpp).
 class CommitmentPrf {
  public:
+  /// Domain byte: keeps the x values of bit nodes disjoint from dummy-node
+  /// labels.
+  enum class Domain : std::uint8_t { kBit = 'x', kDummy = 'd' };
+
   explicit CommitmentPrf(const Seed& seed) : seed_(seed) {}
 
-  /// Random bitstring for the x value of bit node `index`.  Secret until
-  /// the checker explicitly challenges that bit (paper §6.4).
-  Digest20 bit_randomness(std::uint64_t index) const { return derive('x', index); }  // spider-taint: secret
+  /// SHA-512(seed || domain || be64(index)), windows [0,20), [20,40) and
+  /// [40,60).  Bit-domain windows stay secret until the checker explicitly
+  /// challenges that bit (paper §6.4).
+  PrfTriple derive3(Domain domain, std::uint64_t index) const;  // spider-taint: secret
 
-  /// Batch form: out[i] = bit_randomness(indices[i]) for i in [0, n), run
-  /// through the multi-lane SHA-512 batcher.  The labeler derives millions
-  /// of x values per commitment, all 41-byte messages — ideal lane food.
+  /// Batch form: out[i] = derive3(domain, indices[i]) for i in [0, n), run
+  /// through the fixed-length SHA-512 lane feed.  The labeler derives
+  /// millions of triples per commitment, all 41-byte messages — ideal lane
+  /// food.
   // spider-taint: secret
-  void bit_randomness_batch(const std::uint64_t* indices, std::size_t n, Digest20* out) const;
-
-  /// Random label for dummy node `index`.
-  Digest20 dummy_label(std::uint64_t index) const { return derive('d', index); }
-
-  /// Batch form: out[i] = dummy_label(indices[i]) for i in [0, n).  The
-  /// MTT's batched inner pass derives every dummy child of a chunk of
-  /// same-depth inner nodes with one call.
-  void dummy_label_batch(const std::uint64_t* indices, std::size_t n, Digest20* out) const {
-    derive_batch('d', indices, n, out);
-  }
+  void derive3_batch(Domain domain, const std::uint64_t* indices, std::size_t n,
+                     PrfTriple* out) const;
 
   const Seed& seed() const { return seed_; }
 
  private:
-  // spider-taint: secret
-  Digest20 derive(char domain, std::uint64_t index) const;
-  /// out[i] = derive(domain, indices[i]) through the fixed-length lane feed.
-  void derive_batch(char domain, const std::uint64_t* indices, std::size_t n, Digest20* out) const;
-
   Seed seed_;
 };
 

@@ -9,6 +9,7 @@
 // message block.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -30,5 +31,12 @@ void sha512_x4_compress(std::uint64_t state[8][kMaxLanes],
 bool sha512_x8_supported();
 void sha512_x8_compress(std::uint64_t state[8][kMaxLanes],
                         const std::uint8_t* const blocks[kMaxLanes]);
+
+/// sha512_batch_fixed (sha2_multi.hpp) run on the backend of
+/// exactly `lanes` lanes (1, 4 or 8) instead of the fastest one, so the
+/// differential tests cover every width the host supports.  Returns false,
+/// writing nothing, when this CPU or build lacks that width.
+bool sha512_batch_fixed_on(std::size_t lanes, const std::uint8_t* msgs, std::size_t len,
+                           std::size_t n, std::array<std::uint8_t, 64>* outs);
 
 }  // namespace spider::crypto::detail

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+#include <tuple>
 
 #include "crypto/sha2_kernel.hpp"
 #include "obs/metrics.hpp"
@@ -25,17 +27,41 @@ struct Backend {
   void (*compress)(std::uint64_t (*)[kMaxLanes], const std::uint8_t* const*);
 };
 
+/// The backend of exactly `lanes` lanes, or nullopt when this CPU or build
+/// lacks it.
+std::optional<Backend> backend_with(std::size_t lanes) {
+  switch (lanes) {
+    case 8:
+      if (detail::sha512_x8_supported()) return Backend{8, &detail::sha512_x8_compress};
+      break;
+    case 4:
+      if (detail::sha512_x4_supported()) return Backend{4, &detail::sha512_x4_compress};
+      break;
+    case 1: return Backend{1, nullptr};
+    default: break;
+  }
+  return std::nullopt;
+}
+
 const Backend& backend() {
   static const Backend be = [] {
-    if (detail::sha512_x8_supported()) return Backend{8, &detail::sha512_x8_compress};
-    if (detail::sha512_x4_supported()) return Backend{4, &detail::sha512_x4_compress};
+    if (auto x8 = backend_with(8)) return *x8;
+    if (auto x4 = backend_with(4)) return *x4;
     return Backend{1, nullptr};
   }();
   return be;
 }
 
 void store_be64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+  // Spelled out so the compiler merges it into one byte-swapped store.
+  p[0] = static_cast<std::uint8_t>(v >> 56);
+  p[1] = static_cast<std::uint8_t>(v >> 48);
+  p[2] = static_cast<std::uint8_t>(v >> 40);
+  p[3] = static_cast<std::uint8_t>(v >> 32);
+  p[4] = static_cast<std::uint8_t>(v >> 24);
+  p[5] = static_cast<std::uint8_t>(v >> 16);
+  p[6] = static_cast<std::uint8_t>(v >> 8);
+  p[7] = static_cast<std::uint8_t>(v);
 }
 
 void init_state(std::uint64_t state[8][kMaxLanes]) {
@@ -44,13 +70,18 @@ void init_state(std::uint64_t state[8][kMaxLanes]) {
   }
 }
 
-/// Writes the first out_len (<= 64) big-endian digest bytes of `lane`.
-void store_digest(const std::uint64_t state[8][kMaxLanes], std::size_t lane, std::uint8_t* out,
-                  std::size_t out_len) {
-  for (std::size_t w = 0; 8 * w < out_len; ++w) {
+/// Writes the leading big-endian digest bytes of `lane` that fit an Out
+/// (a std::array of at most 64 bytes): whole words straight into `out`,
+/// a partial last word through a staging buffer.
+template <typename Out>
+void store_digest(const std::uint64_t state[8][kMaxLanes], std::size_t lane, Out& out) {
+  constexpr std::size_t kLen = std::tuple_size_v<Out>;
+  static_assert(kLen <= 64, "a SHA-512 digest has 64 bytes");
+  for (std::size_t w = 0; w < kLen / 8; ++w) store_be64(out.data() + 8 * w, state[w][lane]);
+  if constexpr (kLen % 8 != 0) {
     std::uint8_t be[8];
-    store_be64(be, state[w][lane]);
-    std::memcpy(out + 8 * w, be, std::min<std::size_t>(8, out_len - 8 * w));
+    store_be64(be, state[kLen / 8][lane]);
+    std::memcpy(out.data() + kLen / 8 * 8, be, kLen % 8);
   }
 }
 
@@ -120,7 +151,7 @@ void run_group(const Backend& be, const ByteSpan* msgs, std::size_t g, Out* outs
     be.compress(state, blocks);
   }
 
-  for (std::size_t l = 0; l < g; ++l) store_digest(state, l, outs[l].data(), outs[l].size());
+  for (std::size_t l = 0; l < g; ++l) store_digest(state, l, outs[l]);
   tally.digests += g;
   tally.groups += 1;
 }
@@ -150,26 +181,20 @@ void batch_spans(const ByteSpan* msgs, std::size_t n, Out* outs) {
   tally.flush();
 }
 
-}  // namespace
-
-std::size_t sha512_lanes() { return backend().lanes; }
-
-void sha512_batch(const ByteSpan* msgs, std::size_t n, Sha512::Digest* outs) {
-  batch_spans(msgs, n, outs);
-}
-
-void digest20_batch(const ByteSpan* msgs, std::size_t n, Digest20* outs) {
-  batch_spans(msgs, n, outs);
-}
-
-void digest20_batch(const std::uint8_t* msgs, std::size_t len, std::size_t n, Digest20* outs) {
+/// The fixed-length lane feed behind both packed-message entry points:
+/// outs[i] receives the leading digest bytes of message i that fit an Out.
+template <typename Out>
+void batch_fixed(const Backend& be, const std::uint8_t* msgs, std::size_t len, std::size_t n,
+                 Out* outs) {
   if (len > kSha512OneBlockMax) {
-    throw std::invalid_argument("digest20_batch: fixed-length messages must fit one block");
+    throw std::invalid_argument("sha512 lane feed: fixed-length messages must fit one block");
   }
   if (n == 0) return;
-  const Backend& be = backend();
   if (be.lanes == 1) {
-    for (std::size_t i = 0; i < n; ++i) outs[i] = digest20(ByteSpan{msgs + i * len, len});
+    for (std::size_t i = 0; i < n; ++i) {
+      const Sha512::Digest full = Sha512::hash(ByteSpan{msgs + i * len, len});
+      std::memcpy(outs[i].data(), full.data(), outs[i].size());
+    }
     return;
   }
 
@@ -196,14 +221,40 @@ void digest20_batch(const std::uint8_t* msgs, std::size_t len, std::size_t n, Di
     }
     init_state(state);
     be.compress(state, lane_blocks);
-    for (std::size_t l = 0; l < g; ++l) {
-      store_digest(state, l, outs[i + l].data(), outs[i + l].size());
-    }
+    for (std::size_t l = 0; l < g; ++l) store_digest(state, l, outs[i + l]);
     tally.groups += 1;
   }
   tally.digests = n;
   tally.bytes = static_cast<std::uint64_t>(n) * len;
   tally.flush();
+}
+
+}  // namespace
+
+std::size_t sha512_lanes() { return backend().lanes; }
+
+void sha512_batch(const ByteSpan* msgs, std::size_t n, Sha512::Digest* outs) {
+  batch_spans(msgs, n, outs);
+}
+
+void digest20_batch(const ByteSpan* msgs, std::size_t n, Digest20* outs) {
+  batch_spans(msgs, n, outs);
+}
+
+void sha512_batch_fixed(const std::uint8_t* msgs, std::size_t len, std::size_t n,
+                        Sha512::Digest* outs) {
+  batch_fixed(backend(), msgs, len, n, outs);
+}
+
+void digest20_batch(const std::uint8_t* msgs, std::size_t len, std::size_t n, Digest20* outs) {
+  batch_fixed(backend(), msgs, len, n, outs);
+}
+
+bool detail::sha512_batch_fixed_on(std::size_t lanes, const std::uint8_t* msgs, std::size_t len,
+                                   std::size_t n, std::array<std::uint8_t, 64>* outs) {
+  const std::optional<Backend> be = backend_with(lanes);
+  if (be) batch_fixed(*be, msgs, len, n, outs);
+  return be.has_value();
 }
 
 }  // namespace spider::crypto

@@ -10,10 +10,13 @@
 //    consecutive messages with the same padded block count, runs one
 //    transposed compression per block across the group, and falls back to
 //    the scalar streaming class for leftovers;
-//  * the fixed-length lane feed (digest20_batch over packed messages of
-//    one length that fits a single block) pads one template block per lane
-//    once per call and then copies only the message bytes per group — the
-//    labeler's PRF, leaf and inner-node hashes all take this path.
+//  * the fixed-length lane feed (sha512_batch_fixed / digest20_batch over
+//    packed messages of one length that fits a single block) pads one template
+//    block per lane once per call and then copies only the message bytes
+//    per group — the labeler's PRF, leaf and inner-node hashes all take
+//    this path.  The full-digest form feeds CommitmentPrf::derive3_batch,
+//    which keeps 60 of the 64 output bytes (three labels per compression);
+//    the truncated form feeds every other label.
 //
 // Results are bit-identical to Sha512::hash on every input — the
 // differential battery (tests/test_crypto_diff.cpp) enforces this.  Both
@@ -45,10 +48,15 @@ void sha512_batch(const ByteSpan* msgs, std::size_t n, Sha512::Digest* outs);
 /// uses (paper §7.1).
 void digest20_batch(const ByteSpan* msgs, std::size_t n, Digest20* outs);
 
-/// Fixed-length form: outs[i] = digest20 of bytes [i*len, (i+1)*len) of
+/// Fixed-length lane feed: outs[i] = SHA-512 of bytes [i*len, (i+1)*len) of
 /// `msgs`, for n messages packed back to back that all have the same
 /// length len <= kSha512OneBlockMax.  Throws std::invalid_argument on a
 /// longer len.
+void sha512_batch_fixed(const std::uint8_t* msgs, std::size_t len, std::size_t n,
+                        Sha512::Digest* outs);
+
+/// Fixed-length form of digest20_batch: the same lane feed as
+/// sha512_batch_fixed, keeping the leading 20 bytes of each digest.
 void digest20_batch(const std::uint8_t* msgs, std::size_t len, std::size_t n, Digest20* outs);
 
 }  // namespace spider::crypto

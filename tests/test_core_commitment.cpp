@@ -1,14 +1,29 @@
 // Flat bit commitments and bit proofs (basic VPref, §4.4-4.5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/commitment.hpp"
+#include "mtt_reference.hpp"
 #include "util/rng.hpp"
 
 namespace sc = spider::core;
 namespace scr = spider::crypto;
+namespace su = spider::util;
 
 namespace {
 scr::CommitmentPrf prf(const char* label) { return scr::CommitmentPrf(scr::seed_from_string(label)); }
+
+/// x_i of a flat commitment: window i % 3 of the bit triple at i / 3.
+su::Digest20 flat_x(const scr::CommitmentPrf& p, std::uint32_t i) {
+  return p.derive3(scr::CommitmentPrf::Domain::kBit, i / 3)[i % 3];
+}
+
+template <typename Needle>
+bool contains(const su::Bytes& haystack, const Needle& needle) {
+  return std::search(haystack.begin(), haystack.end(), needle.begin(), needle.end()) !=
+         haystack.end();
+}
 }  // namespace
 
 TEST(FlatCommitment, ProveVerifyRoundtripAllBits) {
@@ -93,6 +108,23 @@ TEST(FlatCommitment, HidingAcrossBitValues) {
   for (std::size_t i = 1; i < 3; ++i) {
     EXPECT_NE(pa.leaves[i], pb.leaves[i]);
   }
+
+  // Three x values share one PRF output.  Opening bit c reveals only its
+  // own window: neither group-mate's x nor the 64-byte group digest may
+  // appear in the proof, whichever position of the group c takes.
+  auto p = prf("h3");
+  sc::FlatCommitment wide({true, false, true, false, true, false, true}, p);
+  for (std::uint32_t c = 0; c < wide.num_bits(); ++c) {
+    const auto encoded = wide.prove(c).encode();
+    EXPECT_TRUE(contains(encoded, flat_x(p, c))) << c;
+    for (std::uint32_t mate = c / 3 * 3; mate < std::min(c / 3 * 3 + 3, wide.num_bits()); ++mate) {
+      if (mate == c) continue;
+      EXPECT_FALSE(contains(encoded, flat_x(p, mate))) << "x" << mate << " leaked by " << c;
+    }
+    const auto group =
+        spider::test::reference_prf_digest(p.seed(), scr::CommitmentPrf::Domain::kBit, c / 3);
+    EXPECT_FALSE(contains(encoded, group)) << "group digest leaked by " << c;
+  }
 }
 
 TEST(FlatCommitment, ProofRevealsOnlyQueriedRandomness) {
@@ -100,10 +132,10 @@ TEST(FlatCommitment, ProofRevealsOnlyQueriedRandomness) {
   auto p = prf("reveal");
   sc::FlatCommitment commitment({true, false, true}, p);
   auto proof = commitment.prove(1);
-  EXPECT_EQ(proof.x, p.bit_randomness(1));
+  EXPECT_EQ(proof.x, flat_x(p, 1));
   auto encoded = proof.encode();
   for (std::uint32_t other : {0u, 2u}) {
-    auto secret = p.bit_randomness(other);
+    auto secret = flat_x(p, other);
     auto it = std::search(encoded.begin(), encoded.end(), secret.begin(), secret.end());
     EXPECT_EQ(it, encoded.end()) << "secret x" << other << " leaked";
   }

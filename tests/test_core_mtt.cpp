@@ -5,6 +5,7 @@
 #include <set>
 
 #include "core/mtt.hpp"
+#include "mtt_reference.hpp"
 #include "trace/routeviews.hpp"
 #include "util/rng.hpp"
 
@@ -271,20 +272,33 @@ TEST(Mtt, ProofDoesNotRevealNeighborPrefixes) {
 }
 
 TEST(Mtt, UnqueriedBitRandomnessNotInProof) {
-  auto tree = sc::Mtt::build(figure4_entries(4), 4);
+  // k = 5: one full PRF group (classes 0-2) and one short one (3-4).
+  const std::uint32_t k = 5;
+  auto tree = sc::Mtt::build(figure4_entries(k), k);
   auto p = prf("secrets");
   tree.compute_labels(p);
   const auto prefix = sb::Prefix::parse("0.0.0.0/2");
-  auto proof = tree.prove(p, prefix, {1});
-  auto encoded = proof.encode();
-  // The opened class's x appears; the unqueried classes' x values must not.
-  auto opened = p.bit_randomness(sc::Mtt::bit_prf_index(prefix, 1));
-  EXPECT_NE(std::search(encoded.begin(), encoded.end(), opened.begin(), opened.end()),
-            encoded.end());
-  for (sc::ClassId cls : {0u, 2u, 3u}) {
-    auto secret = p.bit_randomness(sc::Mtt::bit_prf_index(prefix, cls));
-    auto it = std::search(encoded.begin(), encoded.end(), secret.begin(), secret.end());
-    EXPECT_EQ(it, encoded.end());
+  constexpr auto kBit = scr::CommitmentPrf::Domain::kBit;
+  auto x_of = [&](sc::ClassId cls) {
+    return p.derive3(kBit, sc::Mtt::bit_prf_index(prefix, cls / 3))[cls % 3];
+  };
+  auto contains = [](const su::Bytes& haystack, const auto& needle) {
+    return std::search(haystack.begin(), haystack.end(), needle.begin(), needle.end()) !=
+           haystack.end();
+  };
+  for (sc::ClassId opened = 0; opened < k; ++opened) {
+    auto encoded = tree.prove(p, prefix, {opened}).encode();
+    // The opened class's x appears; every unqueried class's x — its two
+    // group-mates in the same PRF output included — must not, nor may the
+    // 64-byte group digest the opened window was cut from.
+    EXPECT_TRUE(contains(encoded, x_of(opened))) << opened;
+    for (sc::ClassId cls = 0; cls < k; ++cls) {
+      if (cls == opened) continue;
+      EXPECT_FALSE(contains(encoded, x_of(cls))) << cls << " via " << opened;
+    }
+    const auto group = spider::test::reference_prf_digest(
+        p.seed(), kBit, sc::Mtt::bit_prf_index(prefix, opened / 3));
+    EXPECT_FALSE(contains(encoded, group)) << "group digest leaked via " << opened;
   }
 }
 

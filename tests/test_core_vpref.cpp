@@ -23,6 +23,12 @@ using sc::Promise;
 
 namespace {
 
+/// x_i of the elector's flat commitment: window i % 3 of the bit triple at
+/// i / 3.
+su::Digest20 flat_x(const scr::CommitmentPrf& prf, ClassId i) {
+  return prf.derive3(scr::CommitmentPrf::Domain::kBit, i / 3)[i % 3];
+}
+
 sb::Route route_with_path(std::size_t hops) {
   sb::Route r;
   r.prefix = sb::Prefix::parse("10.0.0.0/8");
@@ -495,7 +501,7 @@ TEST(Vpref, Theorem4_UnqueriedRandomnessNeverReachesConsumer) {
   // classes).  The x values of classes 1..3 must not appear anywhere.
   scr::CommitmentPrf prf(scr::seed_from_string("round-seed"));
   for (ClassId cls = 1; cls < 4; ++cls) {
-    auto secret = prf.bit_randomness(cls);
+    auto secret = flat_x(prf, cls);
     auto it = std::search(consumer_view.begin(), consumer_view.end(), secret.begin(), secret.end());
     EXPECT_EQ(it, consumer_view.end()) << "x for class " << cls << " leaked to consumer";
   }
@@ -541,10 +547,10 @@ TEST(Vpref, Theorem4_ProducerLearnsOnlyItsOwnBit) {
   ASSERT_TRUE(proof_env.has_value());
   auto payload = sc::BitProofPayload::decode(proof_env->payload);
   scr::CommitmentPrf prf(scr::seed_from_string("round-seed"));
-  EXPECT_EQ(payload.proof.x, prf.bit_randomness(1));
+  EXPECT_EQ(payload.proof.x, flat_x(prf, 1));
   auto encoded = proof_env->encode();
   for (ClassId other : {0u, 2u, 3u}) {
-    auto secret = prf.bit_randomness(other);
+    auto secret = flat_x(prf, other);
     auto it = std::search(encoded.begin(), encoded.end(), secret.begin(), secret.end());
     EXPECT_EQ(it, encoded.end());
   }

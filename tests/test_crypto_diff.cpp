@@ -29,6 +29,7 @@
 #include "crypto/random.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha2.hpp"
+#include "crypto/sha2_kernel.hpp"
 #include "crypto/sha2_multi.hpp"
 #include "mtt_reference.hpp"
 #include "obs/metrics.hpp"
@@ -532,10 +533,54 @@ TEST(CryptoDiffSha512, FixedLengthLanePathMatchesScalar) {
   }
 }
 
+TEST(CryptoDiffSha512, FixedLengthFullDigestMatchesScalarAtEveryWidth) {
+  // The full-digest form of the fixed-length feed (the PRF's path), run on
+  // every backend this host has: batch sizes around both lane widths, so
+  // full groups, short final groups and a lone message all run, at the
+  // empty, PRF (41-byte) and longest one-block lengths.
+  SplitMix64 rng(5150);
+  std::size_t widths_run = 0;
+  for (std::size_t lanes : {1u, 4u, 8u}) {
+    bool supported = true;
+    for (std::size_t len : {0u, 41u, 111u}) {
+      for (std::size_t n : {1u, 7u, 8u, 9u, 65u}) {
+        Bytes packed(std::max<std::size_t>(1, n * len), 0);
+        for (auto& byte : packed) byte = static_cast<std::uint8_t>(rng.next());
+        std::vector<sc::Sha512::Digest> outs(n + 1);
+        const sc::Sha512::Digest canary = sc::Sha512::hash(ByteSpan{packed.data(), 1});
+        outs[n] = canary;
+        supported = sc::detail::sha512_batch_fixed_on(lanes, packed.data(), len, n, outs.data());
+        if (!supported) break;
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(outs[i], sc::Sha512::hash(ByteSpan{packed.data() + i * len, len}))
+              << "lanes=" << lanes << " len=" << len << " n=" << n << " i=" << i;
+        }
+        EXPECT_EQ(outs[n], canary) << "wrote past the batch, lanes=" << lanes << " n=" << n;
+      }
+      if (!supported) break;
+    }
+    if (supported) ++widths_run;
+  }
+  // The scalar width always runs, and so does the width sha512_lanes()
+  // reports as the fastest.
+  EXPECT_GE(widths_run, sc::sha512_lanes() == 1 ? 1u : 2u);
+  // The public entry point takes the same path on the fastest backend.
+  Bytes packed(41 * 9, 0);
+  for (auto& byte : packed) byte = static_cast<std::uint8_t>(rng.next());
+  std::vector<sc::Sha512::Digest> outs(9);
+  sc::sha512_batch_fixed(packed.data(), 41, 9, outs.data());
+  for (std::size_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(outs[i], sc::Sha512::hash(ByteSpan{packed.data() + i * 41, 41})) << i;
+  }
+}
+
 TEST(CryptoDiffSha512, FixedLengthLanePathRejectsMultiBlockLengths) {
   Bytes packed(2 * (sc::kSha512OneBlockMax + 1), 0);
   Digest20 outs[2];
   EXPECT_THROW(sc::digest20_batch(packed.data(), sc::kSha512OneBlockMax + 1, 2, outs),
+               std::invalid_argument);
+  sc::Sha512::Digest full[2];
+  EXPECT_THROW(sc::sha512_batch_fixed(packed.data(), sc::kSha512OneBlockMax + 1, 2, full),
                std::invalid_argument);
 }
 
@@ -590,10 +635,13 @@ TEST(CryptoDiffSha512, LanePathsCountLikeScalar) {
   auto before = counters();
   for (const auto& span : spans) (void)sc::digest20(span);
   for (std::size_t i = 0; i < 19; ++i) (void)sc::digest20(ByteSpan{packed.data() + 41 * i, 41});
+  for (std::size_t i = 0; i < 19; ++i) (void)sc::Sha512::hash(ByteSpan{packed.data() + 41 * i, 41});
   auto scalar = counters();
   std::vector<Digest20> outs(spans.size());
   sc::digest20_batch(spans.data(), spans.size(), outs.data());
   sc::digest20_batch(packed.data(), 41, 19, outs.data());
+  std::vector<sc::Sha512::Digest> full(19);
+  sc::sha512_batch_fixed(packed.data(), 41, 19, full.data());
   auto lanes = counters();
 
   EXPECT_EQ(scalar.first - before.first, lanes.first - scalar.first);
@@ -603,13 +651,36 @@ TEST(CryptoDiffSha512, LanePathsCountLikeScalar) {
 
 // ------------------------------------------------- batched label paths
 
+TEST(CryptoDiffLabels, Derive3WindowsAreTheScalarDigest) {
+  // Known answer by definition: derive3(domain, index) is SHA-512(seed ||
+  // domain || be64(index)) cut at bytes 0, 20 and 40; bytes 60..63 are
+  // dropped.
+  sc::Seed seed;
+  for (std::size_t i = 0; i < seed.data.size(); ++i) seed.data[i] = static_cast<std::uint8_t>(i);
+  const sc::CommitmentPrf prf(seed);
+  const std::uint64_t index = 0x0102030405060708ULL;
+  for (auto [domain, byte] : {std::pair{sc::CommitmentPrf::Domain::kBit, 'x'},
+                              std::pair{sc::CommitmentPrf::Domain::kDummy, 'd'}}) {
+    Bytes msg(seed.data.begin(), seed.data.end());
+    msg.push_back(static_cast<std::uint8_t>(byte));
+    for (std::uint8_t b = 1; b <= 8; ++b) msg.push_back(b);
+    const sc::Sha512::Digest full = sc::Sha512::hash(ByteSpan{msg.data(), msg.size()});
+    const sc::PrfTriple triple = prf.derive3(domain, index);
+    for (std::size_t w = 0; w < 3; ++w) {
+      EXPECT_TRUE(std::equal(triple[w].begin(), triple[w].end(), full.begin() + 20 * w))
+          << byte << " window " << w;
+    }
+    EXPECT_EQ(triple, spider::test::reference_derive3(seed, domain, index)) << byte;
+  }
+}
+
 TEST(CryptoDiffLabels, PrfBatchMatchesScalar) {
   sc::CommitmentPrf prf(sc::seed_from_string("diff-prf"));
   std::vector<std::uint64_t> indices = {0, 1, 2, 63, 64, 1000000, ~std::uint64_t{0}};
-  std::vector<Digest20> outs(indices.size());
-  prf.bit_randomness_batch(indices.data(), indices.size(), outs.data());
+  std::vector<sc::PrfTriple> outs(indices.size());
+  prf.derive3_batch(sc::CommitmentPrf::Domain::kBit, indices.data(), indices.size(), outs.data());
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    EXPECT_EQ(outs[i], prf.bit_randomness(indices[i])) << indices[i];
+    EXPECT_EQ(outs[i], prf.derive3(sc::CommitmentPrf::Domain::kBit, indices[i])) << indices[i];
   }
 }
 
@@ -618,11 +689,15 @@ TEST(CryptoDiffLabels, DummyPrfBatchMatchesScalar) {
   SplitMix64 rng(99);
   std::vector<std::uint64_t> indices = {0, 1, 2, 63, 64, 1000000, ~std::uint64_t{0}};
   for (int i = 0; i < 140; ++i) indices.push_back(rng.next());
-  std::vector<Digest20> outs(indices.size());
-  prf.dummy_label_batch(indices.data(), indices.size(), outs.data());
+  std::vector<sc::PrfTriple> outs(indices.size());
+  prf.derive3_batch(sc::CommitmentPrf::Domain::kDummy, indices.data(), indices.size(),
+                    outs.data());
   for (std::size_t i = 0; i < indices.size(); ++i) {
-    EXPECT_EQ(outs[i], prf.dummy_label(indices[i])) << indices[i];
-    EXPECT_NE(outs[i], prf.bit_randomness(indices[i])) << "domains must stay separate";
+    EXPECT_EQ(outs[i], prf.derive3(sc::CommitmentPrf::Domain::kDummy, indices[i])) << indices[i];
+    const sc::PrfTriple bit = prf.derive3(sc::CommitmentPrf::Domain::kBit, indices[i]);
+    for (std::size_t w = 0; w < 3; ++w) {
+      EXPECT_NE(outs[i][w], bit[w]) << "domains must stay separate, index " << indices[i];
+    }
   }
 }
 
@@ -760,11 +835,13 @@ TEST(CryptoDiffTsan, ConcurrentSignExpAndBatchHashOnSharedObjects) {
         if (ctx.exp(base, e) != ref::mod_exp32(base, e, n)) failures[static_cast<std::size_t>(t)]++;
 
         std::uint64_t indices[16];
-        Digest20 outs[16];
+        sc::PrfTriple outs[16];
         for (std::uint64_t j = 0; j < 16; ++j) indices[j] = rng.next();
-        prf.bit_randomness_batch(indices, 16, outs);
+        prf.derive3_batch(sc::CommitmentPrf::Domain::kBit, indices, 16, outs);
         for (std::uint64_t j = 0; j < 16; ++j) {
-          if (outs[j] != prf.bit_randomness(indices[j])) failures[static_cast<std::size_t>(t)]++;
+          if (outs[j] != prf.derive3(sc::CommitmentPrf::Domain::kBit, indices[j])) {
+            failures[static_cast<std::size_t>(t)]++;
+          }
         }
       }
     });

@@ -85,16 +85,24 @@ TEST(Rc4Csprng, DropsExactly3072Bytes) {
 TEST(CommitmentPrf, DeterministicAndDomainSeparated) {
   auto seed = sc::seed_from_string("commit-1");
   sc::CommitmentPrf prf(seed);
-  EXPECT_EQ(prf.bit_randomness(7), prf.bit_randomness(7));
-  EXPECT_NE(prf.bit_randomness(7), prf.bit_randomness(8));
-  EXPECT_NE(prf.bit_randomness(7), prf.dummy_label(7));
+  constexpr auto kBit = sc::CommitmentPrf::Domain::kBit;
+  constexpr auto kDummy = sc::CommitmentPrf::Domain::kDummy;
+  EXPECT_EQ(prf.derive3(kBit, 7), prf.derive3(kBit, 7));
+  EXPECT_NE(prf.derive3(kBit, 7), prf.derive3(kBit, 8));
+  EXPECT_NE(prf.derive3(kBit, 7), prf.derive3(kDummy, 7));
+  // The three windows of one output are distinct labels.
+  const auto triple = prf.derive3(kBit, 7);
+  EXPECT_NE(triple[0], triple[1]);
+  EXPECT_NE(triple[1], triple[2]);
+  EXPECT_NE(triple[0], triple[2]);
 }
 
 TEST(CommitmentPrf, FreshSeedFreshValues) {
   sc::CommitmentPrf a(sc::seed_from_string("commit-1"));
   sc::CommitmentPrf b(sc::seed_from_string("commit-2"));
-  EXPECT_NE(a.bit_randomness(0), b.bit_randomness(0));
-  EXPECT_NE(a.dummy_label(0), b.dummy_label(0));
+  for (auto domain : {sc::CommitmentPrf::Domain::kBit, sc::CommitmentPrf::Domain::kDummy}) {
+    EXPECT_NE(a.derive3(domain, 0), b.derive3(domain, 0));
+  }
 }
 
 TEST(Seed, RandomSeedsDiffer) {

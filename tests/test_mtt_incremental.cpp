@@ -80,6 +80,30 @@ std::vector<sc::MttUpdate> random_batch(su::SplitMix64& rng, Model& model, std::
   return batch;
 }
 
+/// Hash count of labeling the minimal MTT over `model`, counted from the
+/// trie shape alone: ceil(k/3) PRF triples + k leaves + 1 label per prefix
+/// node, and per inner node 1 combining hash plus 1 PRF triple when any of
+/// its three child slots holds a dummy.
+std::uint64_t closed_form_label_hashes(const Model& model, std::uint32_t k) {
+  // Inner node (path bits, depth) -> mask of its real child slots.
+  std::map<std::pair<std::uint32_t, std::uint8_t>, unsigned> inner;
+  inner[{0u, std::uint8_t{0}}];  // the root always exists
+  for (const auto& [prefix, bits] : model) {
+    for (std::uint8_t d = 0; d <= prefix.length(); ++d) {
+      const std::uint32_t path = d == 0 ? 0u : (prefix.bits() >> (32 - d)) << (32 - d);
+      unsigned& mask = inner[{path, d}];
+      if (d == prefix.length()) {
+        mask |= 4u;
+      } else {
+        mask |= prefix.bit(d) ? 2u : 1u;
+      }
+    }
+  }
+  std::uint64_t hashes = model.size() * static_cast<std::uint64_t>((k + 2) / 3 + k + 1);
+  for (const auto& [position, mask] : inner) hashes += mask == 7u ? 1 : 2;
+  return hashes;
+}
+
 /// Relabels `incremental` under `p` (the recorder's commit: structure-only
 /// apply, then a full labeling under the round's seed) and compares it
 /// with a fresh build and with the reference labeler.
@@ -132,6 +156,25 @@ TEST(MttIncremental, RandomizedDifferentialAgainstFreshBuild) {
                         c.threads,
                         "size=" + std::to_string(c.size) + " threads=" +
                             std::to_string(c.threads) + " round=" + std::to_string(round));
+    }
+  }
+}
+
+TEST(MttIncremental, EdgeClassCountsMatchReferenceAndClosedForm) {
+  // Class counts around the three-labels-per-PRF-output grouping: a lone
+  // window (k = 1, 4), a two-window group (k = 2, 50) and full groups only
+  // (k = 3), each labeled serially and across four threads.
+  for (const std::uint32_t k : {1u, 2u, 3u, 4u, 50u}) {
+    for (const unsigned threads : {1u, 4u}) {
+      const std::string when = "k=" + std::to_string(k) + " threads=" + std::to_string(threads);
+      su::SplitMix64 rng(0xED6E ^ (k * 8 + threads));
+      Model model = random_model(rng, k == 50 ? 300 : 1200, k);
+      auto tree = sc::Mtt::build(entries_of(model), k);
+      tree.compute_labels(prf("edge-k"), threads);
+      EXPECT_EQ(tree.last_label_hashes(), closed_form_label_hashes(model, k)) << when;
+      tree.apply(random_batch(rng, model, 60, k));
+      expect_equivalent(tree, model, k, prf("edge-k-1"), threads, when);
+      EXPECT_EQ(tree.last_label_hashes(), closed_form_label_hashes(model, k)) << when;
     }
   }
 }
@@ -218,7 +261,9 @@ TEST(MttIncremental, ProofXValuesMatchCanonicalPrfDerivation) {
   auto proof = tree.prove(p, target, {0, 3, 5});
   ASSERT_EQ(proof.revealed.size(), 3u);
   for (const auto& opened : proof.revealed) {
-    EXPECT_EQ(opened.x, p.bit_randomness(sc::Mtt::bit_prf_index(target, opened.cls)));
+    EXPECT_EQ(opened.x, spider::test::reference_derive3(
+                            p.seed(), scr::CommitmentPrf::Domain::kBit,
+                            sc::Mtt::bit_prf_index(target, opened.cls / 3))[opened.cls % 3]);
   }
   EXPECT_TRUE(sc::Mtt::verify(tree.root_label(), k, proof));
 }

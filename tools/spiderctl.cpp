@@ -1,6 +1,6 @@
 // spiderctl — command-line driver for the SPIDeR reproduction.
 //
-//   spiderctl demo [prefixes] [updates]      run the Fig. 5 deployment and
+//   spiderctl demo [prefixes]                run the Fig. 5 deployment and
 //                                            verify AS 5's latest commitment
 //   spiderctl verify <as> [prefixes]         commit + verify any AS through
 //             [--jobs N]                     the session engine (src/verify)
@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <thread>
@@ -131,8 +132,10 @@ int cmd_mtt(std::size_t prefixes, std::uint32_t classes) {
   tree.compute_labels(prf);
   auto counts = tree.counts();
   std::printf("MTT over %zu prefixes x %u classes:\n", prefixes, classes);
-  std::printf("  nodes: %zu inner, %zu prefix, %zu dummy, %zu bit (%zu total)\n", counts.inner,
-              counts.prefix, counts.dummy, counts.bit, counts.total());
+  std::printf("  nodes: %zu inner (%zu with a dummy child), %zu prefix, %zu dummy, %zu bit "
+              "(%zu total)\n",
+              counts.inner, counts.inner_with_dummy, counts.prefix, counts.dummy, counts.bit,
+              counts.total());
   std::printf("  build %.3f s, label %.3f s (%llu hashes), memory %s\n", build_s,
               label_timer.seconds(), static_cast<unsigned long long>(tree.last_label_hashes()),
               util::human_bytes(tree.memory_bytes()).c_str());
@@ -203,9 +206,14 @@ int cmd_chaos(int argc, char** argv) {
   return cell.pass ? 0 : 1;
 }
 
-std::size_t arg_or(int argc, char** argv, int index, std::size_t fallback) {
+/// Parses the optional positional argument argv[index] as a decimal integer
+/// in [min, max]; `fallback` when it is absent, nullopt when it is malformed
+/// or out of range.
+template <typename T>
+std::optional<T> positional(int argc, char** argv, int index, T fallback, T min = 1,
+                            T max = std::numeric_limits<T>::max()) {
   if (argc <= index) return fallback;
-  return static_cast<std::size_t>(std::strtoull(argv[index], nullptr, 10));
+  return nodetool::parse_number<T>(argv[index], min, max);
 }
 
 /// Parses a session worker count: a decimal integer in [0, cores].
@@ -219,7 +227,7 @@ bool parse_jobs(const char* text, unsigned& jobs) {
 void usage() {
   std::printf(
       "spiderctl — SPIDeR (SIGCOMM'12) reproduction driver\n"
-      "  spiderctl demo   [prefixes] [updates]   full deployment + verification\n"
+      "  spiderctl demo   [prefixes]             full deployment + verification\n"
       "  spiderctl verify <as> [prefixes]        commit + verify one AS via the\n"
       "            [--jobs N]                    session engine (N in 0..cores,\n"
       "                                          default 0 = all cores)\n"
@@ -238,8 +246,16 @@ int main(int argc, char** argv) {
     return 2;
   }
   const char* cmd = argv[1];
+  // Counts are decimal integers > 0; a malformed one, or one too many, is
+  // a usage error (exit 2) before any work starts.
+  auto bad_usage = [] {
+    usage();
+    return 2;
+  };
   if (std::strcmp(cmd, "demo") == 0) {
-    return cmd_verify(5, arg_or(argc, argv, 2, 2000), false);
+    const auto prefixes = positional<std::size_t>(argc, argv, 2, 2000);
+    if (!prefixes || argc > 3) return bad_usage();
+    return cmd_verify(5, *prefixes, false);
   }
   if (std::strcmp(cmd, "verify") == 0) {
     // The AS must be one of Fig. 5's; the prefix count a decimal > 0.
@@ -271,21 +287,26 @@ int main(int argc, char** argv) {
     return cmd_verify(*elector, prefixes.value_or(2000), false, jobs);
   }
   if (std::strcmp(cmd, "faults") == 0) {
-    return cmd_faults(arg_or(argc, argv, 2, 1000));
+    const auto prefixes = positional<std::size_t>(argc, argv, 2, 1000);
+    if (!prefixes || argc > 3) return bad_usage();
+    return cmd_faults(*prefixes);
   }
   if (std::strcmp(cmd, "trace") == 0) {
-    return cmd_trace(arg_or(argc, argv, 2, 20000), arg_or(argc, argv, 3, 2000));
+    const auto prefixes = positional<std::size_t>(argc, argv, 2, 20000);
+    const auto updates = positional<std::size_t>(argc, argv, 3, 2000);
+    if (!prefixes || !updates || argc > 4) return bad_usage();
+    return cmd_trace(*prefixes, *updates);
   }
   if (std::strcmp(cmd, "chaos") == 0) {
     return cmd_chaos(argc, argv);
   }
   if (std::strcmp(cmd, "mtt") == 0) {
-    if (argc < 3) {
-      usage();
-      return 2;
-    }
-    return cmd_mtt(arg_or(argc, argv, 2, 20000),
-                   static_cast<std::uint32_t>(arg_or(argc, argv, 3, 50)));
+    if (argc < 3) return bad_usage();
+    const auto prefixes = positional<std::size_t>(argc, argv, 2, 0);
+    const auto classes =
+        positional<std::uint32_t>(argc, argv, 3, 50, 1, core::Mtt::kMaxClasses);
+    if (!prefixes || !classes || argc > 4) return bad_usage();
+    return cmd_mtt(*prefixes, *classes);
   }
   usage();
   return 2;
